@@ -8,17 +8,16 @@ heatmap when matplotlib is available.
 
 import numpy as np
 
-from multiphase import ProjectorSet, builtin_model, fisher_pair
+from multiphase import ProjectorSet, builtin_model, fisher_pairs
 
 model = builtin_model("mzi4")
 fock = ProjectorSet.fock(model.basis)
 
 resolution = 41
 axis = 2.0 * np.pi * np.arange(resolution) / resolution
-gaps = np.empty((resolution, resolution))
-for i, t1 in enumerate(axis):
-    for j, t2 in enumerate(axis):
-        gaps[i, j] = fisher_pair(model, [t1, t2], fock).gap
+grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+gaps = np.array([pair.gap for pair in fisher_pairs(model, grid, fock)])
+gaps = gaps.reshape(resolution, resolution)
 
 saturating = np.argwhere(gaps < 1e-6)
 print(f"grid: {resolution} x {resolution} over [0, 2pi)^2")
@@ -27,9 +26,8 @@ print("first few:", [(int(i), int(j)) for i, j in saturating[:8]])
 on_diagonal = sum(1 for i, j in saturating if i == j)
 print(f"on the diagonal theta_1 = theta_2: {on_diagonal} of {resolution}")
 
-for point in ([0.0, np.pi], [np.pi, 0.0]):
-    gap = fisher_pair(model, point, fock).gap
-    print(f"gap at ({point[0]:.2f}, {point[1]:.2f}) = {gap:.2e}")
+for pair in fisher_pairs(model, [[0.0, np.pi], [np.pi, 0.0]], fock):
+    print(f"gap at ({pair.theta[0]:.2f}, {pair.theta[1]:.2f}) = {pair.gap:.2e}")
 
 try:
     import matplotlib

@@ -25,6 +25,7 @@ from .fisher import (
     fim_finite_difference,
     fim_from_bundle,
     fisher_pair,
+    fisher_pairs,
     probabilities,
     qfim,
 )

@@ -7,7 +7,8 @@ Subcommands: ``compute`` (single-point Fisher matrices), ``scan``
 
 Exit codes: 0 ok, 1 verification failure, 2 configuration error,
 3 numerical non-convergence, 4 construction self-check failure,
-5 weak-commutativity violation.
+5 weak-commutativity violation, 6 internal inconsistency (theory and
+numerics disagree, e.g. the classical matrix exceeds the quantum bound).
 """
 
 import argparse
@@ -15,7 +16,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     LimitNonConvergentError,
     WeakCommutativityError,
 )
-from .fisher import ProjectorSet, fisher_pair
+from .fisher import ProjectorSet, fisher_pair, fisher_pairs
 from .interferometer import builtin_model, load_model, tritter, quarter
 from .linalg import spectral_norm
 from .optimal import construct_nonorthogonal_optimal, construct_orthogonal_optimal
@@ -200,40 +200,32 @@ def cmd_scan(args) -> int:
 
     axis1 = ranges[0][0] + (ranges[0][1] - ranges[0][0]) * np.arange(resolutions[0]) / resolutions[0]
     axis2 = ranges[1][0] + (ranges[1][1] - ranges[1][0]) * np.arange(resolutions[1]) / resolutions[1]
-
-    def cell(index):
-        i, j = divmod(index, resolutions[1])
-        theta = fixed.copy()
-        theta[sweep[0]] = axis1[i]
-        theta[sweep[1]] = axis2[j]
-        projectors = ProjectorSet.fock(model.basis)
-        pair = fisher_pair(model, theta, projectors, policy)
-        verdict = SATURATES if pair.gap < tolerances.saturation_gap else DOES_NOT_SATURATE
-        return i, j, theta, pair, verdict
-
-    total = resolutions[0] * resolutions[1]
-    workers = min(os.cpu_count() or 1, total)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(cell, range(total)))
+    thetas = np.tile(fixed, (resolutions[0] * resolutions[1], 1))
+    thetas[:, sweep[0]] = np.repeat(axis1, resolutions[1])
+    thetas[:, sweep[1]] = np.tile(axis2, resolutions[0])
+    pairs = fisher_pairs(model, thetas, ProjectorSet.fock(model.basis), policy)
 
     d = model.d
     header = (["theta1", "theta2", "gap", "verdict"]
               + _upper_triangle_header(d, "f") + _upper_triangle_header(d, "fq"))
     rows = []
     saturating = []
-    gaps = []
-    for i, j, theta, pair, verdict in results:
-        gaps.append(pair.gap)
-        if pair.gap < tolerances.saturation_gap:
-            saturating.append({"i": i, "j": j,
-                               "theta1": float(theta[sweep[0]]),
-                               "theta2": float(theta[sweep[1]])})
-        values = ([theta[sweep[0]], theta[sweep[1]], pair.gap]
-                  + [float(x) for x in _upper_triangle(pair.fim)]
-                  + [float(x) for x in _upper_triangle(pair.qfim)])
-        rows.append([_fmt(values[0]), _fmt(values[1]), _fmt(values[2]), verdict]
-                    + [_fmt(v) for v in values[3:]])
+    direction_dependent = []
+    for index, pair in enumerate(pairs):
+        i, j = divmod(index, resolutions[1])
+        theta1, theta2 = pair.theta[sweep[0]], pair.theta[sweep[1]]
+        cell = {"i": i, "j": j, "theta1": float(theta1), "theta2": float(theta2)}
+        saturates = pair.gap < tolerances.saturation_gap
+        if saturates:
+            saturating.append(cell)
+        if pair.direction_dependent:
+            direction_dependent.append(cell)
+        rows.append([_fmt(theta1), _fmt(theta2), _fmt(pair.gap),
+                     SATURATES if saturates else DOES_NOT_SATURATE]
+                    + [_fmt(float(x)) for x in _upper_triangle(pair.fim)]
+                    + [_fmt(float(x)) for x in _upper_triangle(pair.qfim)])
 
+    gaps = [pair.gap for pair in pairs]
     summary = {
         "model": args.model,
         "swept_phases": list(sweep),
@@ -243,6 +235,7 @@ def cmd_scan(args) -> int:
         "min_gap": float(np.min(gaps)),
         "max_gap": float(np.max(gaps)),
         "saturating_cells": saturating,
+        "direction_dependent_cells": direction_dependent,
     }
 
     try:
@@ -382,35 +375,29 @@ def _reference_checks():
 
     def check_gap3_floor():
         model = builtin_model("mzi3")
-        fock = ProjectorSet.fock(model.basis)
         grid = 2.0 * np.pi * np.arange(41) / 41
-        lowest = min(
-            fisher_pair(model, [t1, t2], fock).gap for t1 in grid for t2 in grid
-        )
+        thetas = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        pairs = fisher_pairs(model, thetas, ProjectorSet.fock(model.basis))
+        lowest = min(pair.gap for pair in pairs)
         return "min gap > 3/4", f"{lowest:.6f}", 1e-3, lowest > 0.75 + 1e-3
 
     def check_locus4():
         model = builtin_model("mzi4")
         fock = ProjectorSet.fock(model.basis)
-        on_locus = [2.0 * np.pi * k / 11 for k in range(11)]
-        worst_on = max(
-            fisher_pair(model, [t, t], fock).gap for t in on_locus
-        )
-        worst_on = max(worst_on,
-                       fisher_pair(model, [0.0, np.pi], fock).gap,
-                       fisher_pair(model, [np.pi, 0.0], fock).gap)
+        on_locus = [[t, t] for t in (2.0 * np.pi * k / 11 for k in range(11))]
+        on_locus += [[0.0, np.pi], [np.pi, 0.0]]
+        worst_on = max(pair.gap for pair in fisher_pairs(model, on_locus, fock))
         rng = np.random.default_rng(20240)
-        best_off = np.inf
-        count = 0
-        while count < 20:
+        off_locus = []
+        while len(off_locus) < 20:
             theta = rng.uniform(0.0, 2.0 * np.pi, size=2)
             if abs(theta[0] - theta[1]) < 0.3:
                 continue
             if min(np.hypot(*(theta - p)) for p in
                    (np.array([0.0, np.pi]), np.array([np.pi, 0.0]))) < 0.3:
                 continue
-            best_off = min(best_off, fisher_pair(model, theta, fock).gap)
-            count += 1
+            off_locus.append(theta)
+        best_off = min(pair.gap for pair in fisher_pairs(model, off_locus, fock))
         passed = worst_on < 1e-6 and best_off > 1e-3
         return ("gap < 1e-6 on locus, > 1e-3 off",
                 f"on <= {worst_on:.2e}, off >= {best_off:.2e}", 1e-6, passed)
@@ -523,7 +510,7 @@ def main(argv=None) -> int:
         return 5
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 3
+        return 6
     except (EstimationError, ValueError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

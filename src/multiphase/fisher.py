@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     BasisMismatchError,
+    DimensionMismatchError,
     IncompleteSetError,
     InternalInconsistencyError,
     LimitNonConvergentError,
@@ -102,16 +103,15 @@ class ProjectorSet:
 
 
 def qfim(bundle: DerivativeBundle) -> np.ndarray:
-    """Quantum Fisher information matrix of a pure-state derivative bundle."""
-    d = bundle.d
-    overlaps = np.empty((d, d), dtype=complex)
-    for l in range(d):
-        for m in range(l, d):
-            overlaps[l, m] = np.vdot(bundle.dpsi[l], bundle.dpsi[m])
-            overlaps[m, l] = np.conj(overlaps[l, m])
-    c = np.array([np.vdot(dp, bundle.psi) for dp in bundle.dpsi])
-    matrix = 4.0 * (overlaps.real + np.outer(c, c).real)
-    return 0.5 * (matrix + matrix.T)
+    """Quantum Fisher information matrix of a pure-state derivative bundle.
+
+    A batched bundle gives one matrix per point, stacked as (G, d, d).
+    """
+    dpsi = bundle.dpsi
+    overlaps = dpsi.conj() @ np.swapaxes(dpsi, -1, -2)      # <d_l psi|d_m psi>
+    c = (dpsi.conj() @ bundle.psi[..., None])[..., 0]       # <d_l psi|psi>
+    matrix = 4.0 * (overlaps.real + (c[..., :, None] * c[..., None, :]).real)
+    return 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
 
 
 def probabilities(psi, projectors: ProjectorSet) -> np.ndarray:
@@ -137,36 +137,26 @@ class FimDiagnostics:
 
 def _overlap_data(bundle: DerivativeBundle, projectors: ProjectorSet):
     """Per-outcome overlaps with the state and each derivative state."""
-    amp = projectors.vectors.conj() @ bundle.psi            # <Y_k|psi>
-    damp = np.stack([projectors.vectors.conj() @ dp for dp in bundle.dpsi])
-    return amp, damp                                         # damp[l, k] = <Y_k|d_l psi>
+    rows = projectors.vectors.conj().T
+    return bundle.psi @ rows, bundle.dpsi @ rows   # <Y_k|psi>, damp[..., l, k] = <Y_k|d_l psi>
 
 
 def _score_terms(amp, damp):
     """dP_l per outcome: 2 Re[<d_l psi|Y_k><Y_k|psi>]."""
-    return 2.0 * (np.conj(damp) * amp[None, :]).real
-
-
-def _step_term(amp_k, damp_k, floor):
-    """One outcome's FIM term at a displaced point, or None below the floor."""
-    p = abs(amp_k) ** 2
-    if p < floor:
-        return None
-    dP = 2.0 * (np.conj(damp_k) * amp_k).real
-    return np.outer(dP, dP) / p
+    return 2.0 * (np.conj(damp) * amp[..., None, :]).real
 
 
 def _richardson(values):
     """Two-level Richardson extrapolation for halving steps [h, h/2, h/4].
 
-    Returns (limit, disagreement) where disagreement measures how far the
+    ``values`` stacks the three step values along its first axis.  Returns
+    (limit, disagreement), elementwise: disagreement measures how far the
     two first-level extrapolants differ after the final combination.
     """
     g1, g2, g3 = values
     r1a = 2.0 * g2 - g1
     r1b = 2.0 * g3 - g2
-    r2 = (4.0 * r1b - r1a) / 3.0
-    return r2, float(np.max(np.abs(r1b - r1a)))
+    return (4.0 * r1b - r1a) / 3.0, np.abs(r1b - r1a)
 
 
 def limit_directions(d: int, primary) -> list:
@@ -192,23 +182,24 @@ def limit_directions(d: int, primary) -> list:
 
 
 class _StepEvaluator:
-    """Lazily evaluates the per-step overlap data along each direction."""
+    """Lazily evaluates the overlap data at every step along each direction.
 
-    def __init__(self, model, theta, projectors, policy, steps=None):
+    ``along`` returns (amp, damp) with the steps on the leading axis, from
+    one batched bundle per direction.
+    """
+
+    def __init__(self, model, theta, projectors, steps):
         self.model = model
         self.theta = theta
         self.projectors = projectors
-        self.policy = policy
-        self.step_sizes = tuple(steps) if steps is not None else tuple(policy.steps)
+        self.step_sizes = np.asarray(steps, dtype=float)
         self._cache = {}
 
-    def steps(self, direction_index, direction):
+    def along(self, direction_index, direction):
         if direction_index not in self._cache:
-            data = []
-            for delta in self.step_sizes:
-                bundle = self.model.derivative_bundle(self.theta + delta * direction)
-                data.append(_overlap_data(bundle, self.projectors))
-            self._cache[direction_index] = data
+            points = self.theta + self.step_sizes[:, None] * direction
+            bundle = self.model.derivative_bundle(points)
+            self._cache[direction_index] = _overlap_data(bundle, self.projectors)
         return self._cache[direction_index]
 
 
@@ -217,59 +208,92 @@ def _singular_contribution(model, theta, projectors, outcome_indices, primary,
     """Limit contributions of zero-probability outcomes.
 
     Each outcome is extrapolated along the first direction in
-    ``limit_directions`` where all steps carry signal.  Returns
-    (contribution matrix, evaluated, path_null, off_axis).  With ``strict``
-    the policy convergence tolerance is enforced; audits pass
-    ``strict=False`` and receive possibly unconverged values.
+    ``limit_directions`` where all steps carry signal; the outcomes still
+    open at a direction are evaluated together.  Returns (contribution
+    matrix, evaluated, path_null, off_axis).  With ``strict`` the policy
+    convergence tolerance is enforced, and the first outcome (in the given
+    order) that fails raises; audits pass ``strict=False`` and receive
+    possibly unconverged values.
     """
     d = model.d
-    contribution = np.zeros((d, d))
-    if not outcome_indices:
-        return contribution, [], [], []
+    outcomes = np.asarray(outcome_indices, dtype=int)
+    n = outcomes.size
+    limits = np.zeros((n, d, d))      # zero until the outcome's limit converges
+    resolved_at = np.full(n, -1)      # index of the direction that resolved each outcome
+    partial = np.zeros(n, dtype=bool)  # some steps carried signal, others not
+    diverged = np.full(n, np.nan)     # strict: disagreement that stopped the outcome
+    evaluator = _StepEvaluator(model, theta, projectors, policy.steps)
 
-    directions = limit_directions(d, primary)
-    evaluator = _StepEvaluator(model, theta, projectors, policy)
-
-    evaluated, path_null, off_axis = [], [], []
-    for k in outcome_indices:
-        saw_partial_signal = False
-        resolved = False
-        for j, direction in enumerate(directions):
-            terms = [
-                _step_term(amp[k], damp[:, k], policy.step_floor)
-                for amp, damp in evaluator.steps(j, direction)
-            ]
-            live = [t for t in terms if t is not None]
-            if not live:
-                continue
-            if len(live) < len(terms):
-                saw_partial_signal = True
-                continue
-            limit, disagreement = _richardson(terms)
-            scale = max(1.0, float(np.max(np.abs(limit))))
-            if disagreement > policy.convergence_tol * scale:
-                if strict:
-                    raise LimitNonConvergentError(
-                        f"outcome {k}: Richardson extrapolants disagree by {disagreement:.3e}"
-                    )
-                continue
-            contribution += limit
-            evaluated.append(k)
-            if j > 0:
-                off_axis.append(k)
-            resolved = True
+    for j, direction in enumerate(limit_directions(d, primary)):
+        open_ = np.flatnonzero((resolved_at < 0) & np.isnan(diverged))
+        if not open_.size:
             break
-        if resolved:
+        amp, damp = evaluator.along(j, direction)
+        a = amp[:, outcomes[open_]]
+        p = np.abs(a) ** 2
+        live = p >= policy.step_floor
+        partial[open_] |= live.any(axis=0) & ~live.all(axis=0)
+        ready = live.all(axis=0)
+        if not ready.any():
             continue
-        if saw_partial_signal:
-            if strict:
+        chosen = open_[ready]
+        a, p = a[:, ready], p[:, ready]
+        dP = 2.0 * (np.conj(damp[:, :, outcomes[chosen]]) * a[:, None, :]).real
+        terms = dP[:, :, None, :] * dP[:, None, :, :] / p[:, None, None, :]
+        limit, spread = _richardson(terms)
+        disagreement = spread.max(axis=(0, 1))
+        scale = np.maximum(1.0, np.abs(limit).max(axis=(0, 1)))
+        converged = ~(disagreement > policy.convergence_tol * scale)
+        if strict:
+            diverged[chosen[~converged]] = disagreement[~converged]
+        resolved_at[chosen[converged]] = j
+        limits[chosen[converged]] = np.moveaxis(limit[:, :, converged], -1, 0)
+
+    resolved = resolved_at >= 0
+    if strict:
+        for i in np.flatnonzero(~resolved & (partial | ~np.isnan(diverged))):
+            k = outcomes[i]
+            if not np.isnan(diverged[i]):
                 raise LimitNonConvergentError(
-                    f"outcome {k}: probability crosses the floor along every probe direction"
+                    f"outcome {k}: Richardson extrapolants disagree by {diverged[i]:.3e}"
                 )
-            path_null.append(k)
-        else:
-            path_null.append(k)
-    return contribution, evaluated, path_null, off_axis
+            raise LimitNonConvergentError(
+                f"outcome {k}: probability crosses the floor along every probe direction"
+            )
+    return (limits.sum(axis=0), outcomes[resolved].tolist(),
+            outcomes[~resolved].tolist(), outcomes[resolved_at > 0].tolist())
+
+
+def _singular_cell(model, theta, projectors, damp, singular, policy,
+                   diagnostics: FimDiagnostics) -> np.ndarray:
+    """Contribution of one point's below-floor outcomes; fills ``diagnostics``."""
+    d = model.d
+    outcomes = np.flatnonzero(singular)
+    diagnostics.singular_outcomes = outcomes.tolist()
+    # Where every first-order overlap vanishes, both dP and P vanish to high
+    # enough order that the ratio is zero in the limit; skip the numerics.
+    dark = np.max(np.abs(damp[:, outcomes]), axis=0) < policy.derivative_floor
+    diagnostics.shortcut_zero = outcomes[dark].tolist()
+    needs_limit = outcomes[~dark]
+    if not needs_limit.size:
+        return np.zeros((d, d))
+
+    contribution, evaluated, path_null, off_axis = _singular_contribution(
+        model, theta, projectors, needs_limit, policy.unit_direction(d), policy
+    )
+    diagnostics.limit_evaluated = evaluated
+    diagnostics.path_null = path_null
+    diagnostics.off_axis = off_axis
+
+    if policy.audit_directions and d > 1:
+        for axis in np.eye(d):
+            audit, _, _, _ = _singular_contribution(
+                model, theta, projectors, needs_limit, axis, policy, strict=False,
+            )
+            if np.max(np.abs(audit - contribution)) > policy.audit_spread:
+                diagnostics.direction_dependent = True
+                break
+    return contribution
 
 
 def fim(model: Interferometer, theta, projectors: ProjectorSet,
@@ -282,7 +306,13 @@ def fim(model: Interferometer, theta, projectors: ProjectorSet,
 def fim_from_bundle(model: Interferometer, bundle: DerivativeBundle,
                     projectors: ProjectorSet,
                     policy: LimitPolicy = DEFAULT_LIMIT_POLICY):
-    """As ``fim`` but reusing an already-evaluated derivative bundle."""
+    """As ``fim`` but reusing an already-evaluated derivative bundle.
+
+    A batched bundle gives a (G, d, d) stack and a list of G diagnostics.
+    The regular outcomes of every point are summed in one masked product;
+    only points with an outcome below ``policy.probability_floor`` run the
+    singular-limit machinery.
+    """
     if projectors.basis != bundle.basis:
         raise BasisMismatchError("bundle and projector set use different bases")
     if not projectors.complete:
@@ -292,48 +322,21 @@ def fim_from_bundle(model: Interferometer, bundle: DerivativeBundle,
     amp, damp = _overlap_data(bundle, projectors)
     probs = np.abs(amp) ** 2
     scores = _score_terms(amp, damp)
-
     regular = probs >= policy.probability_floor
-    matrix = np.zeros((d, d))
-    for k in np.flatnonzero(regular):
-        matrix += np.outer(scores[:, k], scores[:, k]) / probs[k]
+    weights = np.divide(1.0, probs, out=np.zeros_like(probs), where=regular)
+    matrix = (scores * weights[..., None, :]) @ np.swapaxes(scores, -1, -2)
 
-    diagnostics = FimDiagnostics()
-    diagnostics.singular_outcomes = [int(k) for k in np.flatnonzero(~regular)]
+    cells = matrix.reshape(-1, d, d)   # a view: per-point limits land in matrix
+    thetas = bundle.theta.reshape(-1, d)
+    singular = ~regular.reshape(len(cells), len(projectors))
+    damp = damp.reshape(len(cells), d, len(projectors))
+    diagnostics = [FimDiagnostics() for _ in range(len(cells))]
+    for g in np.flatnonzero(singular.any(axis=1)):
+        cells[g] += _singular_cell(model, thetas[g], projectors, damp[g],
+                                   singular[g], policy, diagnostics[g])
 
-    needs_limit = []
-    for k in diagnostics.singular_outcomes:
-        if np.max(np.abs(damp[:, k])) < policy.derivative_floor:
-            # Both dP and P vanish to high enough order that the ratio is
-            # zero in the limit; skip the numerics entirely.
-            diagnostics.shortcut_zero.append(k)
-        else:
-            needs_limit.append(k)
-
-    if needs_limit:
-        direction = policy.unit_direction(d)
-        contribution, evaluated, path_null, off_axis = _singular_contribution(
-            model, bundle.theta, projectors, needs_limit, direction, policy
-        )
-        matrix += contribution
-        diagnostics.limit_evaluated = evaluated
-        diagnostics.path_null = path_null
-        diagnostics.off_axis = off_axis
-
-        if policy.audit_directions and d > 1:
-            for axis in range(d):
-                e = np.zeros(d)
-                e[axis] = 1.0
-                audit, _, _, _ = _singular_contribution(
-                    model, bundle.theta, projectors, needs_limit, e, policy,
-                    strict=False,
-                )
-                if np.max(np.abs(audit - contribution)) > policy.audit_spread:
-                    diagnostics.direction_dependent = True
-                    break
-
-    matrix = 0.5 * (matrix + matrix.T)
-    return matrix, diagnostics
+    matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
+    return matrix, diagnostics if bundle.batched else diagnostics[0]
 
 
 def fim_finite_difference(model: Interferometer, theta, projectors: ProjectorSet,
@@ -376,31 +379,61 @@ class FisherPair:
     diagnostics: FimDiagnostics
 
 
-def fisher_pair(model: Interferometer, theta, projectors: ProjectorSet,
-                policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
-                ordering_slack: float = 1e-8) -> FisherPair:
-    """Evaluate both matrices and validate the quantum-ordering invariant."""
-    bundle = model.derivative_bundle(theta).validate()
+def fisher_pairs(model: Interferometer, thetas, projectors: ProjectorSet,
+                 policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
+                 ordering_slack: float = 1e-8) -> list:
+    """``fisher_pair`` at each row of a (G, d) array of working points.
+
+    The points are evaluated as one batch: one bundle, one masked sum over
+    regular outcomes, stacked quantum matrices and stacked eigenvalue
+    checks.  The working set is O(G * d * D) for basis dimension D.  Raises
+    the errors of the per-point evaluation: validation, singular limits and
+    the ordering checks each run over all points in turn, and the first
+    failing point of the first failing stage is reported.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2:
+        raise DimensionMismatchError(f"expected a (G, d) array, got shape {thetas.shape}")
+    bundle = model.derivative_bundle(thetas).validate()
     classical, diagnostics = fim_from_bundle(model, bundle, projectors, policy)
     quantum = qfim(bundle)
 
-    difference = quantum - classical
-    smallest = float(np.min(hermitian_eigenvalues(difference)))
-    if smallest < -ordering_slack:
+    eigenvalues = hermitian_eigenvalues(quantum - classical)
+    smallest = np.min(eigenvalues, axis=-1)
+    bad = np.flatnonzero(smallest < -ordering_slack)
+    if bad.size:
         raise InternalInconsistencyError(
-            f"classical matrix exceeds the quantum bound: min eig(F_Q - F) = {smallest:.3e}"
+            "classical matrix exceeds the quantum bound: "
+            f"min eig(F_Q - F) = {smallest[bad[0]]:.3e}"
         )
-    gap = spectral_norm(difference)
-    if gap > spectral_norm(quantum) + ordering_slack:
+    gaps = np.max(np.abs(eigenvalues), axis=-1)
+    bad = np.flatnonzero(gaps > spectral_norm(quantum) + ordering_slack)
+    if bad.size:
         raise InternalInconsistencyError(
-            f"gap {gap:.3e} exceeds ||F_Q||_2; matrices are inconsistent"
+            f"gap {gaps[bad[0]]:.3e} exceeds ||F_Q||_2; matrices are inconsistent"
         )
-    return FisherPair(
-        theta=bundle.theta,
-        fim=classical,
-        qfim=quantum,
-        gap=gap,
-        singular_outcomes=tuple(diagnostics.singular_outcomes),
-        direction_dependent=diagnostics.direction_dependent,
-        diagnostics=diagnostics,
-    )
+    return [
+        FisherPair(
+            theta=bundle.theta[g],
+            fim=classical[g],
+            qfim=quantum[g],
+            gap=float(gaps[g]),
+            singular_outcomes=tuple(diagnostics[g].singular_outcomes),
+            direction_dependent=diagnostics[g].direction_dependent,
+            diagnostics=diagnostics[g],
+        )
+        for g in range(len(thetas))
+    ]
+
+
+def fisher_pair(model: Interferometer, theta, projectors: ProjectorSet,
+                policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
+                ordering_slack: float = 1e-8) -> FisherPair:
+    """Evaluate both matrices and validate the quantum-ordering invariant.
+
+    The single-point case of ``fisher_pairs``.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.ndim != 1:
+        raise DimensionMismatchError(f"expected {model.d} phases, got shape {theta.shape}")
+    return fisher_pairs(model, theta[None, :], projectors, policy, ordering_slack)[0]

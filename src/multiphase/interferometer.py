@@ -41,28 +41,43 @@ def quarter() -> np.ndarray:
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """Output state and its exact phase derivatives at one working point."""
+    """Output state and its exact phase derivatives at one or more working points.
+
+    A single point has ``theta`` of shape (d,), ``psi`` of shape (D,) and
+    ``dpsi`` of shape (d, D).  A batch of G points adds a leading axis to
+    each: (G, d), (G, D) and (G, d, D).
+    """
 
     theta: np.ndarray
     psi: np.ndarray          # normalized |psi_s>
-    dpsi: tuple              # d vectors |d_l psi_s>, amplitude per radian
+    dpsi: np.ndarray         # |d_l psi_s> along axis -2, amplitude per radian
     basis: FockBasis
+
+    def __post_init__(self):
+        object.__setattr__(self, "dpsi", np.asarray(self.dpsi, dtype=complex))
 
     @property
     def d(self) -> int:
-        return len(self.dpsi)
+        return self.dpsi.shape[-2]
+
+    @property
+    def batched(self) -> bool:
+        return self.psi.ndim == 2
 
     def validate(self, tol=1e-10):
-        norm_error = abs(np.vdot(self.psi, self.psi).real - 1.0)
-        if norm_error > tol:
-            raise InternalInconsistencyError(f"|psi| deviates from 1 by {norm_error:.3e}")
-        for l, dp in enumerate(self.dpsi):
-            overlap = np.vdot(dp, self.psi)
-            if abs(overlap.real) > tol:
-                raise InternalInconsistencyError(
-                    f"<d_{l} psi|psi> has real part {overlap.real:.3e}; "
-                    "the normalization derivative must vanish"
-                )
+        """Check the norm and ``Re<d_l psi|psi> = 0`` at every point."""
+        norm_error = np.abs(np.sum(np.abs(self.psi) ** 2, axis=-1) - 1.0)
+        worst = np.max(norm_error, initial=0.0)
+        if worst > tol:
+            raise InternalInconsistencyError(f"|psi| deviates from 1 by {worst:.3e}")
+        overlaps = (self.dpsi.conj() @ self.psi[..., None])[..., 0].real
+        bad = np.abs(overlaps) > tol
+        if bad.any():
+            index = np.unravel_index(np.argmax(bad), bad.shape)
+            raise InternalInconsistencyError(
+                f"<d_{index[-1]} psi|psi> has real part {overlaps[index]:.3e}; "
+                "the normalization derivative must vanish"
+            )
         return self
 
 
@@ -105,9 +120,9 @@ class Interferometer:
     def d(self) -> int:
         return len(self.phase_modes)
 
-    def _theta(self, theta) -> np.ndarray:
+    def _theta(self, theta, allow_batch=False) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (self.d,):
+        if theta.shape[-1] != self.d or theta.ndim > 1 + allow_batch:
             raise DimensionMismatchError(
                 f"expected {self.d} phases, got shape {theta.shape}"
             )
@@ -120,16 +135,17 @@ class Interferometer:
         return self.lifted_splitter_inverse @ (layer * self._split_probe)
 
     def derivative_bundle(self, theta) -> DerivativeBundle:
-        """Output state plus its exact derivative with respect to each phase."""
-        theta = self._theta(theta)
-        layer = np.exp(1j * (self._phase_occupations @ theta))
-        shifted = layer * self._split_probe
-        psi = self.lifted_splitter_inverse @ shifted
-        dpsi = tuple(
-            self.lifted_splitter_inverse
-            @ (1j * self._phase_occupations[:, l] * shifted)
-            for l in range(self.d)
-        )
+        """Output state plus its exact derivative with respect to each phase.
+
+        ``theta`` of shape (d,) gives a single-point bundle; shape (G, d)
+        gives a batched bundle with one GEMM for all states and one for
+        all derivative states.
+        """
+        theta = self._theta(theta, allow_batch=True)
+        shifted = np.exp(1j * (theta @ self._phase_occupations.T)) * self._split_probe
+        rows = self.lifted_splitter_inverse.T     # psi = shifted @ rows, row-wise
+        psi = shifted @ rows
+        dpsi = (1j * self._phase_occupations.T * shifted[..., None, :]) @ rows
         return DerivativeBundle(theta=theta, psi=psi, dpsi=dpsi, basis=self.basis)
 
     def finite_difference_bundle(self, theta, delta=1e-5) -> DerivativeBundle:
@@ -141,7 +157,7 @@ class Interferometer:
             step = np.zeros(self.d)
             step[l] = delta
             dpsi.append((self.output_state(theta + step) - self.output_state(theta - step)) / (2 * delta))
-        return DerivativeBundle(theta=theta, psi=psi, dpsi=tuple(dpsi), basis=self.basis)
+        return DerivativeBundle(theta=theta, psi=psi, dpsi=dpsi, basis=self.basis)
 
     def to_dict(self) -> dict:
         return {

@@ -9,22 +9,28 @@ from .tolerances import DEFAULT_TOLERANCES
 def hermitian_eigenvalues(matrix, tol=DEFAULT_TOLERANCES.hermitian):
     """Eigenvalues of a Hermitian (or real symmetric) matrix, ascending.
 
-    Raises NotHermitianError if ``matrix`` deviates from its conjugate
-    transpose by more than ``tol`` in any entry.
+    ``matrix`` may be a stack of shape (..., n, n); the eigenvalues then
+    have shape (..., n).  Raises NotHermitianError if any matrix deviates
+    from its conjugate transpose by more than ``tol`` in any entry.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    deviation = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    deviation = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) if m.size else 0.0
     if deviation > tol:
         raise NotHermitianError(f"max |M - M^H| = {deviation:.3e} exceeds {tol:.1e}")
     return np.linalg.eigvalsh(m)
 
 
 def spectral_norm(matrix, tol=DEFAULT_TOLERANCES.hermitian):
-    """Largest-magnitude eigenvalue of a Hermitian matrix (its 2-norm)."""
-    eigenvalues = hermitian_eigenvalues(matrix, tol=tol)
-    return float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
+    """Largest-magnitude eigenvalue of a Hermitian matrix (its 2-norm).
+
+    A stack of shape (..., n, n) gives an array of shape (...).
+    """
+    eigenvalues = np.abs(hermitian_eigenvalues(matrix, tol=tol))
+    if eigenvalues.ndim > 1:
+        return np.max(eigenvalues, axis=-1, initial=0.0)
+    return float(np.max(eigenvalues, initial=0.0))
 
 
 def permanent(matrix):

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError, InternalInconsistencyError
-from .fisher import ProjectorSet, _StepEvaluator, fisher_pair, limit_directions
+from .fisher import (
+    ProjectorSet,
+    _richardson,
+    _StepEvaluator,
+    fisher_pair,
+    limit_directions,
+)
 from .interferometer import DerivativeBundle, Interferometer
 from .tolerances import (
     DEFAULT_LIMIT_POLICY,
@@ -136,60 +142,52 @@ def orthogonal_condition_residuals(model: Interferometer, bundle: DerivativeBund
         # The ratio has no 1/delta amplification, so shrinking the steps
         # only improves its extrapolation.
         scaled = [s * policy.fallback_step_scale for s in policy.steps]
-        evaluator = _StepEvaluator(model, bundle.theta, projectors, policy,
-                                   steps=scaled)
-        for k in fallback:
-            bound = float(np.max(np.abs(damp[:, k])))
-            results.append(_ratio_limit_residual(k, directions, evaluator,
-                                                 bound, policy))
+        evaluator = _StepEvaluator(model, bundle.theta, projectors, scaled)
+        bounds = np.max(np.abs(damp[:, fallback]), axis=0)
+        results += _ratio_limit_residuals(np.asarray(fallback), directions,
+                                          evaluator, bounds, policy)
     results.sort(key=lambda r: r.projector)
     return results
 
 
-def _ratio_limit_residual(k, directions, evaluator, bound, policy):
-    """Extrapolate the defining 0/0 ratio for one first-order-dark projector.
+def _ratio_limit_residuals(outcomes, directions, evaluator, bounds, policy) -> list:
+    """Extrapolate the defining 0/0 ratio for first-order-dark projectors.
 
     The ratio magnitude is bounded by |<Y|d_l psi_phi>|, which converges to
     the first-order overlap at the working point, so the limit can never
-    exceed ``bound`` (below the derivative floor by precondition).  The
+    exceed ``bounds`` (below the derivative floor by precondition).  The
     numerical extrapolation refines that certificate along the first
     direction whose displaced overlaps carry signal at every step; where
     the numerics stay dark or unresolved the bound itself is reported.
+    The projectors still open at a direction are evaluated together.
     """
-    amp_floor = policy.derivative_floor
+    values = np.array(bounds, dtype=float)
+    indices = np.zeros(len(outcomes), dtype=int)
+    open_ = np.ones(len(outcomes), dtype=bool)
     for j, direction in enumerate(directions):
-        ratios = []
-        for amp, damp in evaluator.steps(j, direction):
-            if abs(amp[k]) < amp_floor:
-                ratios = None
-                break
-            ratios.append((np.conj(damp[:, k]) * amp[k]).imag / abs(amp[k]))
-        if ratios is None:
-            continue
-        g1, g2, g3 = ratios
-        r1a = 2.0 * g2 - g1
-        r1b = 2.0 * g3 - g2
-        limit = (4.0 * r1b - r1a) / 3.0
-        disagreement = float(np.max(np.abs(r1b - r1a)))
-        if disagreement > policy.convergence_tol * max(1.0, float(np.max(np.abs(limit)))):
-            continue
-        l = int(np.argmax(np.abs(limit)))
-        return ConditionResidual(
-            projector=k,
-            value=float(abs(limit[l])),
-            condition="T1",
-            indices=(l,),
-            indeterminate_first_order=True,
-            limit_converged=True,
-        )
-    return ConditionResidual(
-        projector=k,
-        value=bound,
-        condition="T1",
-        indices=(0,),
-        indeterminate_first_order=True,
-        limit_converged=True,
-    )
+        if not open_.any():
+            break
+        amp, damp = evaluator.along(j, direction)
+        chosen = np.flatnonzero(open_)
+        a = amp[:, outcomes[chosen]]
+        lit = np.all(np.abs(a) >= policy.derivative_floor, axis=0)
+        chosen, a = chosen[lit], a[:, lit]
+        bilinear = np.conj(damp[:, :, outcomes[chosen]]) * a[:, None, :]
+        ratios = bilinear.imag / np.abs(a[:, None, :])
+        limit, spread = _richardson(ratios)
+        scale = np.maximum(1.0, np.max(np.abs(limit), axis=0, initial=0.0))
+        converged = ~(np.max(spread, axis=0, initial=0.0) > policy.convergence_tol * scale)
+        chosen, limit = chosen[converged], limit[:, converged]
+        best = np.argmax(np.abs(limit), axis=0)
+        values[chosen] = np.abs(limit[best, np.arange(len(chosen))])
+        indices[chosen] = best
+        open_[chosen] = False
+    return [
+        ConditionResidual(projector=int(k), value=float(value), condition="T1",
+                          indices=(int(l),), indeterminate_first_order=True,
+                          limit_converged=True)
+        for k, value, l in zip(outcomes, values, indices)
+    ]
 
 
 def overlap_condition_residuals(bundle: DerivativeBundle, projectors: ProjectorSet,
@@ -251,6 +249,7 @@ class SaturationReport:
             ],
             "verdict": self.verdict,
             "gap": self.gap,
+            "direction_dependent": self.direction_dependent,
         }
 
     def to_json(self, **kwargs) -> str:
@@ -283,6 +282,8 @@ class SaturationReport:
             t2=t2,
             verdict=str(data["verdict"]),
             gap=float(data["gap"]),
+            # Reports written before the field existed read as False.
+            direction_dependent=bool(data.get("direction_dependent", False)),
         )
 
     @classmethod

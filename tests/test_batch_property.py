@@ -1,0 +1,68 @@
+"""Property test: the batched Fisher evaluation equals the per-point one.
+
+Random QR-unitary instruments (up to four modes, three photons and m - 1
+phases) are evaluated on grids that hold singular points: theta = 0 and
+2 pi (the splitters cancel and every other outcome is dark), a point
+within 1e-7 of zero (probabilities below the floor but not zero) and
+generic points.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multiphase import EstimationError, Interferometer, ProjectorSet, fisher_pair, fisher_pairs
+
+
+@st.composite
+def instruments(draw):
+    modes = draw(st.integers(2, 4))
+    photons = draw(st.integers(1, 3))
+    d = draw(st.integers(1, modes - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    q, r = np.linalg.qr(z)
+    splitter = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    probe = tuple(int(n) for n in rng.multinomial(photons, np.ones(modes) / modes))
+    phase_modes = tuple(int(p) for p in rng.choice(modes, size=d, replace=False))
+    model = Interferometer(splitter, phase_modes, probe)
+    thetas = np.vstack([
+        np.zeros(d),
+        np.full(d, 2.0 * np.pi),
+        1e-7 * rng.normal(size=d),
+        rng.uniform(0.0, 2.0 * np.pi, size=(3, d)),
+    ])
+    return model, thetas
+
+
+def outcome(call):
+    try:
+        return call(), None
+    except EstimationError as exc:
+        return None, exc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(instruments())
+def test_batched_equals_per_point(case):
+    model, thetas = case
+    fock = ProjectorSet.fock(model.basis)
+    per_point = [outcome(lambda t=t: fisher_pair(model, t, fock)) for t in thetas]
+    _, error = outcome(lambda: fisher_pairs(model, thetas, fock))
+    raised = [type(exc) for _, exc in per_point if exc is not None]
+    if raised:
+        assert type(error) in raised
+    else:
+        assert error is None
+
+    # Points within 1e-7 of a dark point may not converge; the rest must
+    # agree with their per-point values in any batch.
+    wanted = [pair for pair, exc in per_point if exc is None]
+    kept = thetas[[exc is None for _, exc in per_point]]
+    for got, want in zip(fisher_pairs(model, kept, fock), wanted):
+        tol = 1e-12 * max(1.0, np.max(np.abs(want.qfim)))
+        assert np.max(np.abs(got.fim - want.fim)) <= tol
+        assert np.max(np.abs(got.qfim - want.qfim)) <= tol
+        assert abs(got.gap - want.gap) <= tol
+        assert (got.gap < 1e-6) == (want.gap < 1e-6)
+        assert got.diagnostics == want.diagnostics

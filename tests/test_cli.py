@@ -1,10 +1,20 @@
 """Tests for the command-line interface."""
 
+import csv
 import json
 
 import numpy as np
+import pytest
 
-from multiphase import SATURATES, builtin_model, save_model
+from multiphase import (
+    SATURATES,
+    LimitPolicy,
+    ProjectorSet,
+    builtin_model,
+    fisher_pair,
+    save_model,
+)
+from multiphase import fisher as fisher_module
 from multiphase.cli import main
 
 
@@ -60,6 +70,14 @@ class TestCompute:
     def test_bad_theta_arity_is_config_error(self, capsys):
         code, _, _ = run(capsys, "compute", "--model", "mzi3", "--theta", "0,0,0")
         assert code == 2
+
+    def test_ordering_failure_is_internal_inconsistency(self, capsys, monkeypatch):
+        # A zero quantum matrix puts the classical one above the bound.
+        monkeypatch.setattr(fisher_module, "qfim",
+                            lambda bundle: np.zeros(bundle.theta.shape + (bundle.d,)))
+        code, _, err = run(capsys, "compute", "--model", "mzi3", "--theta", "0.4,1.1")
+        assert code == 6
+        assert err.startswith("internal inconsistency")
 
 
 class TestScan:
@@ -118,6 +136,56 @@ class TestScan:
         summary = json.loads(out)
         assert summary["min_gap"] > 0.75
         assert summary["saturating_cells"] == []
+
+
+def read_cells(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestScanBatch:
+    @pytest.mark.parametrize("name", ["mzi3", "mzi4"])
+    def test_cells_match_per_point_evaluation(self, capsys, tmp_path, name):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "scan", "--model", name, "--resolution", "9,7",
+                         "--out", str(out_path))
+        assert code == 0
+        model = builtin_model(name)
+        fock = ProjectorSet.fock(model.basis)
+        cells = read_cells(out_path)
+        assert len(cells) == 63
+        for row in cells:
+            theta = [float(row["theta1"]), float(row["theta2"])]
+            pair = fisher_pair(model, theta, fock)
+            assert row["verdict"] == (SATURATES if pair.gap < 1e-6 else "DoesNotSaturate")
+            want = [pair.gap, pair.fim[0, 0], pair.fim[0, 1], pair.fim[1, 1],
+                    pair.qfim[0, 0], pair.qfim[0, 1], pair.qfim[1, 1]]
+            got = [float(row[k]) for k in ("gap", "f11", "f12", "f22", "fq11", "fq12", "fq22")]
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * np.max(np.abs(pair.qfim))
+
+    @pytest.mark.parametrize("name, flagged", [("mzi4", False), ("mzi3", True)])
+    def test_audit_directions_keeps_cells_and_reports_flags(self, capsys, tmp_path,
+                                                            name, flagged):
+        plain, audited = tmp_path / "plain.csv", tmp_path / "audited.csv"
+        _, out, _ = run(capsys, "scan", "--model", name, "--resolution", "6,6",
+                        "--out", str(plain))
+        assert json.loads(out)["direction_dependent_cells"] == []
+        code, out, _ = run(capsys, "scan", "--model", name, "--resolution", "6,6",
+                           "--audit-directions", "--out", str(audited))
+        assert code == 0
+        assert audited.read_bytes() == plain.read_bytes()
+
+        model = builtin_model(name)
+        fock = ProjectorSet.fock(model.basis)
+        policy = LimitPolicy(audit_directions=True)
+        expected = [
+            (index // 6, index % 6) for index, row in enumerate(read_cells(audited))
+            if fisher_pair(model, [float(row["theta1"]), float(row["theta2"])],
+                           fock, policy).direction_dependent
+        ]
+        reported = [(c["i"], c["j"]) for c in json.loads(out)["direction_dependent_cells"]]
+        assert reported == expected
+        assert bool(reported) == flagged
 
 
 class TestCheckSaturation:

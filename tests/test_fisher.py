@@ -5,8 +5,10 @@ import pytest
 
 from multiphase import (
     BasisMismatchError,
+    DimensionMismatchError,
     IncompleteSetError,
     Interferometer,
+    LimitPolicy,
     ProjectorSet,
     StepTooLargeError,
     basis_state,
@@ -15,6 +17,7 @@ from multiphase import (
     fim,
     fim_finite_difference,
     fisher_pair,
+    fisher_pairs,
     hermitian_eigenvalues,
     lift_unitary,
     probabilities,
@@ -223,3 +226,50 @@ class TestFisherPair:
                 smallest = np.min(hermitian_eigenvalues(pair.qfim - pair.fim))
                 assert smallest > -1e-8
                 assert pair.gap <= spectral_norm(pair.qfim) + 1e-8
+
+
+class TestFisherPairs:
+    @pytest.mark.parametrize("name", ["mzi3", "mzi4"])
+    def test_batch_equals_per_point_with_singular_cells(self, name):
+        # The 9x9 grid over one period holds the singular origin and, on
+        # mzi4, the whole zero-gap diagonal.
+        model = builtin_model(name)
+        fock = ProjectorSet.fock(model.basis)
+        axis = 2.0 * np.pi * np.arange(9) / 9
+        thetas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        batch = fisher_pairs(model, thetas, fock)
+        assert any(pair.diagnostics.limit_evaluated for pair in batch)
+        for theta, got in zip(thetas, batch):
+            want = fisher_pair(model, theta, fock)
+            assert np.array_equal(got.theta, want.theta)
+            for a, b in ((got.fim, want.fim), (got.qfim, want.qfim), (got.gap, want.gap)):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(want.qfim))
+            assert (got.gap < 1e-6) == (want.gap < 1e-6)
+            assert got.diagnostics == want.diagnostics
+
+    def test_rejects_a_single_point(self):
+        model = builtin_model("mzi3")
+        with pytest.raises(DimensionMismatchError):
+            fisher_pairs(model, [0.1, 0.2], ProjectorSet.fock(model.basis))
+
+    def test_audit_at_a_locus_point_keeps_values(self):
+        model = builtin_model("mzi4")
+        fock = ProjectorSet.fock(model.basis)
+        plain = fisher_pair(model, [0.9, 0.9], fock)
+        audited = fisher_pair(model, [0.9, 0.9], fock, LimitPolicy(audit_directions=True))
+        assert audited.diagnostics.limit_evaluated
+        assert np.array_equal(audited.fim, plain.fim)
+        assert np.array_equal(audited.qfim, plain.qfim)
+        assert audited.gap == plain.gap < 1e-6
+        # On the saturating locus the limit does not depend on the direction.
+        assert not audited.direction_dependent
+
+    def test_audit_flags_direction_dependence_at_three_mode_origin(self):
+        model = builtin_model("mzi3")
+        fock = ProjectorSet.fock(model.basis)
+        plain = fisher_pair(model, [0.0, 0.0], fock)
+        audited = fisher_pair(model, [0.0, 0.0], fock, LimitPolicy(audit_directions=True))
+        assert not plain.direction_dependent
+        assert audited.direction_dependent
+        assert audited.diagnostics.direction_dependent
+        assert np.array_equal(audited.fim, plain.fim)

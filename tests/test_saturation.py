@@ -8,6 +8,7 @@ from multiphase import (
     SATURATES,
     DerivativeBundle,
     Interferometer,
+    LimitPolicy,
     ProjectorSet,
     SaturationReport,
     builtin_model,
@@ -202,6 +203,17 @@ class TestCheckSaturation:
         assert clone.weak_comm_residual == report.weak_comm_residual
         assert [r.value for r in clone.t1] == [r.value for r in report.t1]
         assert clone.classification.tags == report.classification.tags
+        assert clone.to_json() == report.to_json()
+
+    def test_report_json_round_trip_keeps_direction_dependence(self):
+        # The three-mode origin is direction dependent: its singular limits
+        # along the coordinate axes differ from the diagonal one.
+        model = builtin_model("mzi3")
+        report = check_saturation(model, [0.0, 0.0], ProjectorSet.fock(model.basis),
+                                  policy=LimitPolicy(audit_directions=True))
+        assert report.direction_dependent
+        clone = SaturationReport.from_json(report.to_json())
+        assert clone.direction_dependent
         assert clone.to_json() == report.to_json()
 
     def test_single_parameter_always_saturates(self):
