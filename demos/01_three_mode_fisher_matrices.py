@@ -24,11 +24,12 @@ print("spectral norm:", spectral_norm(fq))
 
 # The point (0, 0) sends every photon back to the probe configuration, so
 # all other outcomes have zero probability and the classical matrix is an
-# indeterminate 0/0 limit, resolved by directional extrapolation.
+# indeterminate 0/0 limit, resolved in closed form from the leading term of
+# each dark amplitude along the approach direction.
 f, diagnostics = fim(model, [0.0, 0.0], fock)
 print("\nclassical (photon counting) Fisher matrix at theta = (0, 0):")
 print(f.round(10))
-print("outcomes handled by the limit procedure:", diagnostics.limit_evaluated)
+print("outcomes resolved by their limit:", diagnostics.limit_evaluated)
 print("outcomes that vanish analytically:", diagnostics.shortcut_zero)
 
 print("\ngap ||F_Q - F||_2 at a few phase points:")

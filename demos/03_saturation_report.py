@@ -19,7 +19,7 @@ print("weak-commutativity residual:", f"{report.weak_comm_residual:.2e}")
 print("projector residuals (orthogonal class):")
 for r in report.t1:
     state = m3.basis.states[r.projector]
-    note = "  (first order dark, limit evaluated)" if r.indeterminate_first_order else ""
+    note = "  (first order dark, bound reported)" if r.indeterminate_first_order else ""
     print(f"  |{','.join(map(str, state))}>  residual = {r.value:.6f}{note}")
 
 print("\n=== four-mode instrument at theta = (0.9, 0.9) ===")

@@ -63,7 +63,6 @@ from .optimal import (
 )
 from .saturation import (
     DOES_NOT_SATURATE,
-    INDETERMINATE_FIRST_ORDER,
     SATURATES,
     ConditionResidual,
     ProjectorClassification,

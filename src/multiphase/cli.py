@@ -6,9 +6,11 @@ Subcommands: ``compute`` (single-point Fisher matrices), ``scan``
 (reference-value regression table).
 
 Exit codes: 0 ok, 1 verification failure, 2 configuration error,
-3 numerical non-convergence, 4 construction self-check failure,
-5 weak-commutativity violation, 6 internal inconsistency (theory and
-numerics disagree, e.g. the classical matrix exceeds the quantum bound).
+4 construction self-check failure, 5 weak-commutativity violation,
+6 internal inconsistency (theory and numerics disagree, e.g. the
+classical matrix exceeds the quantum bound).  Code 3 (numerical
+non-convergence) is retired: singular outcomes are resolved in closed
+form, and nothing raises it any more.
 """
 
 import argparse
@@ -16,13 +18,13 @@ import dataclasses
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     EstimationError,
     InternalInconsistencyError,
-    LimitNonConvergentError,
     WeakCommutativityError,
 )
 from .fisher import ProjectorSet, fisher_pair, fisher_pairs
@@ -39,7 +41,6 @@ _CONFIG_KEYS = {
     "tol-wc": ("tolerances", "weak_commutativity"),
     "tol-hermitian": ("tolerances", "hermitian"),
     "tol-unitary": ("tolerances", "unitary"),
-    "tol-limit": ("policy", "convergence_tol"),
     "p-floor": ("policy", "probability_floor"),
 }
 
@@ -70,7 +71,8 @@ def _add_common_options(parser):
     parser.add_argument("--limit-direction",
                         help="comma-separated approach direction for 0/0 limits")
     parser.add_argument("--audit-directions", action="store_true",
-                        help="also evaluate singular limits along each axis")
+                        help="flag dark outcomes whose limit depends on the "
+                             "approach direction")
     parser.add_argument("--out", help="write the primary output to this path")
 
 
@@ -497,14 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except LimitNonConvergentError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
-        return 3
     except WeakCommutativityError as exc:
         print(f"weak commutativity violated: {exc}", file=sys.stderr)
         return 5

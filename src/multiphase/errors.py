@@ -43,7 +43,11 @@ class IncompleteSetError(EstimationError):
 
 
 class LimitNonConvergentError(EstimationError):
-    """Richardson extrapolation steps disagree beyond the policy tolerance."""
+    """A singular-outcome limit did not converge.
+
+    No longer raised, since those limits are now taken in closed form;
+    kept for callers that still name it.
+    """
 
 
 class StepTooLargeError(EstimationError):

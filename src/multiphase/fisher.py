@@ -1,11 +1,14 @@
 """Classical and quantum Fisher information matrices for projective measurements.
 
-The classical matrix sums ``dP_l dP_m / P`` over measurement outcomes with
-``dP_l = 2 Re[<d_l psi|Y_k><Y_k|psi>]``.  Outcomes whose probability
-vanishes at the working point are indeterminate (0/0); their contribution
-is the Richardson-extrapolated limit along a configurable approach
-direction, except where it vanishes analytically (all first-order overlaps
-zero) or the probability is identically zero along the path.
+The classical matrix sums ``dP_l dP_m / P`` over measurement outcomes.
+With ``a = <Y_k|psi>`` and ``da_l = <Y_k|d_l psi>`` each term equals
+``s_l s_m`` for the score ``s_l = 2 Re[conj(da_l) a^]``, ``a^ = a/|a|``,
+so no term divides by a small probability and all outcomes of all points
+are summed in one product.  At a dark outcome (``a`` zero) ``a^`` is the
+phase of the leading term of ``a(theta + delta u)``: ``u.da`` at first
+order, else ``u^T H u`` with ``H_lm = <Y_k|d_l d_m psi>``, tried along each
+of ``limit_directions`` in turn.  Outcomes whose first-order overlaps all
+vanish contribute zero.
 """
 
 import json
@@ -18,7 +21,6 @@ from .errors import (
     DimensionMismatchError,
     IncompleteSetError,
     InternalInconsistencyError,
-    LimitNonConvergentError,
     StepTooLargeError,
 )
 from .fock import FockBasis, enumerate_basis
@@ -125,13 +127,14 @@ def probabilities(psi, projectors: ProjectorSet) -> np.ndarray:
 
 @dataclass
 class FimDiagnostics:
-    """Which outcomes needed special handling in a FIM evaluation."""
+    """How the outcomes below the probability floor were resolved."""
 
-    singular_outcomes: list = field(default_factory=list)   # probability below floor
-    shortcut_zero: list = field(default_factory=list)       # vanish analytically
-    limit_evaluated: list = field(default_factory=list)     # Richardson extrapolation ran
-    path_null: list = field(default_factory=list)           # dark along every probe direction
-    off_axis: list = field(default_factory=list)            # needed a fallback direction
+    singular_outcomes: list = field(default_factory=list)   # probability below floor, or dark
+    shortcut_zero: list = field(default_factory=list)       # first-order overlaps vanish: zero term
+    limit_evaluated: list = field(default_factory=list)     # term from the closed form
+    second_order: list = field(default_factory=list)        # dark; phase from the second-order term
+    path_null: list = field(default_factory=list)           # dark to second order along every direction
+    off_axis: list = field(default_factory=list)            # dark; needed a fallback direction
     direction_dependent: bool = False
 
 
@@ -141,28 +144,10 @@ def _overlap_data(bundle: DerivativeBundle, projectors: ProjectorSet):
     return bundle.psi @ rows, bundle.dpsi @ rows   # <Y_k|psi>, damp[..., l, k] = <Y_k|d_l psi>
 
 
-def _score_terms(amp, damp):
-    """dP_l per outcome: 2 Re[<d_l psi|Y_k><Y_k|psi>]."""
-    return 2.0 * (np.conj(damp) * amp[..., None, :]).real
-
-
-def _richardson(values):
-    """Two-level Richardson extrapolation for halving steps [h, h/2, h/4].
-
-    ``values`` stacks the three step values along its first axis.  Returns
-    (limit, disagreement), elementwise: disagreement measures how far the
-    two first-level extrapolants differ after the final combination.
-    """
-    g1, g2, g3 = values
-    r1a = 2.0 * g2 - g1
-    r1b = 2.0 * g3 - g2
-    return (4.0 * r1b - r1a) / 3.0, np.abs(r1b - r1a)
-
-
 def limit_directions(d: int, primary) -> list:
-    """Approach directions tried per outcome, the policy direction first.
+    """Approach directions tried per dark outcome, the policy direction first.
 
-    An outcome whose probability is identically zero along the primary
+    An outcome whose amplitude vanishes to second order along the primary
     direction (it lies inside the singular locus) is probed along a fixed
     generic direction and then each coordinate axis before being declared
     dark in the whole neighborhood.  Where the saturation conditions hold
@@ -181,119 +166,34 @@ def limit_directions(d: int, primary) -> list:
     return directions
 
 
-class _StepEvaluator:
-    """Lazily evaluates the overlap data at every step along each direction.
+def _dark_phases(model, thetas, projectors, da, points, outcomes, policy):
+    """Limit phases ``a^`` of dark (point, outcome) pairs.
 
-    ``along`` returns (amp, damp) with the steps on the leading axis, from
-    one batched bundle per direction.
+    ``da`` holds the pairs' (n, d) first-order overlaps.  Along each
+    direction ``u`` in turn, ``a(theta + delta u)`` leads with
+    ``delta u.da``, else with ``delta^2 u^T H u / 2``; the first term above
+    ``policy.derivative_floor`` gives the phase.  The sign of ``delta``
+    does not matter, as the term is quadratic in ``a^``.  Returns the
+    phases and, per pair, ``2 * direction index + order - 1``, or -1 with
+    phase 0 where every candidate vanishes (path-null).
     """
-
-    def __init__(self, model, theta, projectors, steps):
-        self.model = model
-        self.theta = theta
-        self.projectors = projectors
-        self.step_sizes = np.asarray(steps, dtype=float)
-        self._cache = {}
-
-    def along(self, direction_index, direction):
-        if direction_index not in self._cache:
-            points = self.theta + self.step_sizes[:, None] * direction
-            bundle = self.model.derivative_bundle(points)
-            self._cache[direction_index] = _overlap_data(bundle, self.projectors)
-        return self._cache[direction_index]
-
-
-def _singular_contribution(model, theta, projectors, outcome_indices, primary,
-                           policy: LimitPolicy, strict: bool = True):
-    """Limit contributions of zero-probability outcomes.
-
-    Each outcome is extrapolated along the first direction in
-    ``limit_directions`` where all steps carry signal; the outcomes still
-    open at a direction are evaluated together.  Returns (contribution
-    matrix, evaluated, path_null, off_axis).  With ``strict`` the policy
-    convergence tolerance is enforced, and the first outcome (in the given
-    order) that fails raises; audits pass ``strict=False`` and receive
-    possibly unconverged values.
-    """
-    d = model.d
-    outcomes = np.asarray(outcome_indices, dtype=int)
-    n = outcomes.size
-    limits = np.zeros((n, d, d))      # zero until the outcome's limit converges
-    resolved_at = np.full(n, -1)      # index of the direction that resolved each outcome
-    partial = np.zeros(n, dtype=bool)  # some steps carried signal, others not
-    diverged = np.full(n, np.nan)     # strict: disagreement that stopped the outcome
-    evaluator = _StepEvaluator(model, theta, projectors, policy.steps)
-
-    for j, direction in enumerate(limit_directions(d, primary)):
-        open_ = np.flatnonzero((resolved_at < 0) & np.isnan(diverged))
-        if not open_.size:
-            break
-        amp, damp = evaluator.along(j, direction)
-        a = amp[:, outcomes[open_]]
-        p = np.abs(a) ** 2
-        live = p >= policy.step_floor
-        partial[open_] |= live.any(axis=0) & ~live.all(axis=0)
-        ready = live.all(axis=0)
-        if not ready.any():
-            continue
-        chosen = open_[ready]
-        a, p = a[:, ready], p[:, ready]
-        dP = 2.0 * (np.conj(damp[:, :, outcomes[chosen]]) * a[:, None, :]).real
-        terms = dP[:, :, None, :] * dP[:, None, :, :] / p[:, None, None, :]
-        limit, spread = _richardson(terms)
-        disagreement = spread.max(axis=(0, 1))
-        scale = np.maximum(1.0, np.abs(limit).max(axis=(0, 1)))
-        converged = ~(disagreement > policy.convergence_tol * scale)
-        if strict:
-            diverged[chosen[~converged]] = disagreement[~converged]
-        resolved_at[chosen[converged]] = j
-        limits[chosen[converged]] = np.moveaxis(limit[:, :, converged], -1, 0)
-
-    resolved = resolved_at >= 0
-    if strict:
-        for i in np.flatnonzero(~resolved & (partial | ~np.isnan(diverged))):
-            k = outcomes[i]
-            if not np.isnan(diverged[i]):
-                raise LimitNonConvergentError(
-                    f"outcome {k}: Richardson extrapolants disagree by {diverged[i]:.3e}"
-                )
-            raise LimitNonConvergentError(
-                f"outcome {k}: probability crosses the floor along every probe direction"
-            )
-    return (limits.sum(axis=0), outcomes[resolved].tolist(),
-            outcomes[~resolved].tolist(), outcomes[resolved_at > 0].tolist())
-
-
-def _singular_cell(model, theta, projectors, damp, singular, policy,
-                   diagnostics: FimDiagnostics) -> np.ndarray:
-    """Contribution of one point's below-floor outcomes; fills ``diagnostics``."""
-    d = model.d
-    outcomes = np.flatnonzero(singular)
-    diagnostics.singular_outcomes = outcomes.tolist()
-    # Where every first-order overlap vanishes, both dP and P vanish to high
-    # enough order that the ratio is zero in the limit; skip the numerics.
-    dark = np.max(np.abs(damp[:, outcomes]), axis=0) < policy.derivative_floor
-    diagnostics.shortcut_zero = outcomes[dark].tolist()
-    needs_limit = outcomes[~dark]
-    if not needs_limit.size:
-        return np.zeros((d, d))
-
-    contribution, evaluated, path_null, off_axis = _singular_contribution(
-        model, theta, projectors, needs_limit, policy.unit_direction(d), policy
-    )
-    diagnostics.limit_evaluated = evaluated
-    diagnostics.path_null = path_null
-    diagnostics.off_axis = off_axis
-
-    if policy.audit_directions and d > 1:
-        for axis in np.eye(d):
-            audit, _, _, _ = _singular_contribution(
-                model, theta, projectors, needs_limit, axis, policy, strict=False,
-            )
-            if np.max(np.abs(audit - contribution)) > policy.audit_spread:
-                diagnostics.direction_dependent = True
-                break
-    return contribution
+    d = da.shape[1]
+    directions = np.array(limit_directions(d, policy.unit_direction(d)))
+    first = da @ directions.T
+    second = np.zeros_like(first)
+    pending = np.abs(first[:, 0]) <= policy.derivative_floor
+    if pending.any():
+        states = model.second_derivatives(thetas[points[pending]])
+        hessians = np.einsum("plmi,pi->plm", states,
+                             projectors.vectors[outcomes[pending]].conj())
+        second[pending] = np.einsum("jl,plm,jm->pj", directions, hessians, directions)
+    candidates = np.stack([first, second], axis=-1).reshape(len(da), -1)
+    lit = np.abs(candidates) > policy.derivative_floor
+    choice = np.where(lit.any(axis=1), np.argmax(lit, axis=1), -1)
+    leading = np.where(choice >= 0, candidates[np.arange(len(da)), choice], 0.0)
+    magnitude = np.abs(leading)
+    phases = np.divide(leading, magnitude, out=np.zeros_like(leading), where=magnitude > 0)
+    return phases, choice
 
 
 def fim(model: Interferometer, theta, projectors: ProjectorSet,
@@ -309,9 +209,7 @@ def fim_from_bundle(model: Interferometer, bundle: DerivativeBundle,
     """As ``fim`` but reusing an already-evaluated derivative bundle.
 
     A batched bundle gives a (G, d, d) stack and a list of G diagnostics.
-    The regular outcomes of every point are summed in one masked product;
-    only points with an outcome below ``policy.probability_floor`` run the
-    singular-limit machinery.
+    Every outcome of every point enters one product of scores.
     """
     if projectors.basis != bundle.basis:
         raise BasisMismatchError("bundle and projector set use different bases")
@@ -320,23 +218,66 @@ def fim_from_bundle(model: Interferometer, bundle: DerivativeBundle,
 
     d = bundle.d
     amp, damp = _overlap_data(bundle, projectors)
-    probs = np.abs(amp) ** 2
-    scores = _score_terms(amp, damp)
-    regular = probs >= policy.probability_floor
-    weights = np.divide(1.0, probs, out=np.zeros_like(probs), where=regular)
-    matrix = (scores * weights[..., None, :]) @ np.swapaxes(scores, -1, -2)
-
-    cells = matrix.reshape(-1, d, d)   # a view: per-point limits land in matrix
     thetas = bundle.theta.reshape(-1, d)
-    singular = ~regular.reshape(len(cells), len(projectors))
-    damp = damp.reshape(len(cells), d, len(projectors))
-    diagnostics = [FimDiagnostics() for _ in range(len(cells))]
-    for g in np.flatnonzero(singular.any(axis=1)):
-        cells[g] += _singular_cell(model, thetas[g], projectors, damp[g],
-                                   singular[g], policy, diagnostics[g])
+    amp = amp.reshape(len(thetas), len(projectors))
+    damp = damp.reshape(len(thetas), d, len(projectors))
+    magnitude = np.abs(amp)
+    # Dark outcomes are singular even under a zero probability floor.
+    singular = ((magnitude ** 2 < policy.probability_floor)
+                | (magnitude <= policy.amplitude_floor))
+    diagnostics = [FimDiagnostics() for _ in range(len(thetas))]
+    if singular.any():
+        phase = _singular_phases(model, thetas, projectors, amp, damp, singular,
+                                 policy, diagnostics)
+    else:
+        phase = amp / magnitude
 
+    scores = 2.0 * (np.conj(damp) * phase[:, None, :]).real
+    matrix = scores @ np.swapaxes(scores, -1, -2)
     matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     return matrix, diagnostics if bundle.batched else diagnostics[0]
+
+
+def _singular_phases(model, thetas, projectors, amp, damp, singular, policy,
+                     diagnostics) -> np.ndarray:
+    """Phases ``a^`` of all outcomes when some are singular; fills ``diagnostics``.
+
+    Singular outcomes whose first-order overlaps all vanish get phase 0, a
+    zero term.  Near-dark amplitudes (above ``policy.amplitude_floor``) are
+    recomputed by ``model.amplitudes``, whose rounding, amplified by
+    ``1/|a|`` in ``a^``, does not depend on the batch.  Dark ones take the
+    phase of their limit from ``_dark_phases``.
+    """
+    magnitude = np.abs(amp)
+    shortcut = singular & (np.max(np.abs(damp), axis=1) < policy.derivative_floor)
+    dark = (magnitude <= policy.amplitude_floor) & ~shortcut
+    near = singular & ~shortcut & ~dark
+    if near.any():
+        g, k = np.nonzero(near)
+        amp[g, k] = model.amplitudes(thetas[g], projectors.vectors[k])
+        magnitude[g, k] = np.abs(amp[g, k])
+    phase = np.divide(amp, magnitude, out=np.zeros_like(amp), where=~(shortcut | dark))
+    choice = np.full(amp.shape, -1)
+    if dark.any():
+        g, k = np.nonzero(dark)
+        phase[g, k], choice[g, k] = _dark_phases(model, thetas, projectors,
+                                                 damp[g, :, k], g, k, policy)
+
+    path_null = dark & (choice < 0)
+    flagged = np.zeros(len(thetas), dtype=bool)
+    if policy.audit_directions and damp.shape[1] > 1:
+        # The limit at a dark outcome is direction independent exactly when
+        # Im[conj(da_l) da_m] vanishes, the first-order (T1) condition.
+        g, k = np.nonzero(dark & ~path_null)
+        da = damp[g, :, k]
+        t1 = np.abs((np.conj(da)[:, :, None] * da[:, None, :]).imag).max(axis=(1, 2))
+        flagged[g[t1 > policy.audit_spread]] = True
+    masks = (singular, shortcut, singular & ~shortcut & ~path_null,
+             (choice >= 0) & (choice % 2 == 1), path_null, choice >= 2)   # in field order
+    for g in np.flatnonzero(singular.any(axis=1)):
+        diagnostics[g] = FimDiagnostics(*(mask[g].nonzero()[0].tolist() for mask in masks),
+                                        direction_dependent=bool(flagged[g]))
+    return phase
 
 
 def fim_finite_difference(model: Interferometer, theta, projectors: ProjectorSet,
@@ -360,9 +301,7 @@ def fim_finite_difference(model: Interferometer, theta, projectors: ProjectorSet
         plus = probabilities(model.output_state(theta + step), projectors)
         minus = probabilities(model.output_state(theta - step), projectors)
         dP[l] = (plus - minus) / (2.0 * delta)
-    matrix = np.zeros((d, d))
-    for k in range(len(projectors)):
-        matrix += np.outer(dP[:, k], dP[:, k]) / probs[k]
+    matrix = (dP / probs) @ dP.T
     return 0.5 * (matrix + matrix.T)
 
 
@@ -384,12 +323,12 @@ def fisher_pairs(model: Interferometer, thetas, projectors: ProjectorSet,
                  ordering_slack: float = 1e-8) -> list:
     """``fisher_pair`` at each row of a (G, d) array of working points.
 
-    The points are evaluated as one batch: one bundle, one masked sum over
-    regular outcomes, stacked quantum matrices and stacked eigenvalue
-    checks.  The working set is O(G * d * D) for basis dimension D.  Raises
-    the errors of the per-point evaluation: validation, singular limits and
-    the ordering checks each run over all points in turn, and the first
-    failing point of the first failing stage is reported.
+    The points are evaluated as one batch: one bundle, one product of
+    outcome scores, stacked quantum matrices and stacked eigenvalue checks.
+    The working set is O(G * d * D) for basis dimension D.  Raises the
+    errors of the per-point evaluation: validation and the ordering checks
+    each run over all points in turn, and the first failing point of the
+    first failing stage is reported.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2:

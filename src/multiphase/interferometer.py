@@ -148,6 +148,32 @@ class Interferometer:
         dpsi = (1j * self._phase_occupations.T * shifted[..., None, :]) @ rows
         return DerivativeBundle(theta=theta, psi=psi, dpsi=dpsi, basis=self.basis)
 
+    def second_derivatives(self, theta) -> np.ndarray:
+        """Exact ``d_l d_m psi`` at one or more points, shape (..., d, d, D).
+
+        The generators commute, so ``d_l d_m psi = -W^-1 n_l n_m P(theta) W|probe>``.
+        """
+        theta = self._theta(theta, allow_batch=True)
+        shifted = np.exp(1j * (theta @ self._phase_occupations.T)) * self._split_probe
+        n = self._phase_occupations.T
+        layers = -(n[:, None, :] * n[None, :, :]) * shifted[..., None, None, :]
+        rows = self.lifted_splitter_inverse.T
+        return (layers.reshape(-1, rows.shape[0]) @ rows).reshape(layers.shape)
+
+    def amplitudes(self, thetas, rows) -> np.ndarray:
+        """``<row_i|psi(theta_i)>`` for paired (n, d) points and (n, D) rows.
+
+        Each amplitude is one fixed-shape elementwise sum
+        ``sum_ij conj(Y_i) Linv_ij x_j`` with ``x = e^{i theta.n} lift(W)|probe>``,
+        so its rounding does not depend on how many pairs are evaluated
+        together, as a matrix product's does.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        phases = np.sum(thetas[:, :, None] * self._phase_occupations.T, axis=1)
+        x = np.exp(1j * phases) * self._split_probe
+        terms = np.conj(rows)[:, :, None] * self.lifted_splitter_inverse * x[:, None, :]
+        return terms.reshape(len(thetas), -1).sum(axis=1)
+
     def finite_difference_bundle(self, theta, delta=1e-5) -> DerivativeBundle:
         """Central-difference derivative states; test oracle only."""
         theta = self._theta(theta)

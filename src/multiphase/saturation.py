@@ -2,9 +2,9 @@
 
 A measurement reaches the quantum bound exactly when three families of
 residuals vanish: the weak-commutativity residual of the derivative
-states, one condition per projector orthogonal to the probe (with a
-numerical-limit fallback when every first-order overlap vanishes), and
-one condition per projector overlapping the probe.  Every report carries
+states, one condition per projector orthogonal to the probe (certified
+by a bound when every first-order overlap vanishes), and one condition
+per projector overlapping the probe.  Every report carries
 the directly computed spectral-norm gap as a cross check; a verdict that
 contradicts the gap raises instead of being swallowed.
 """
@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError, InternalInconsistencyError
-from .fisher import (
-    ProjectorSet,
-    _richardson,
-    _StepEvaluator,
-    fisher_pair,
-    limit_directions,
-)
+from .fisher import ProjectorSet, fisher_pair
 from .interferometer import DerivativeBundle, Interferometer
 from .tolerances import (
     DEFAULT_LIMIT_POLICY,
@@ -32,7 +26,6 @@ from .tolerances import (
 
 SATURATES = "Saturates"
 DOES_NOT_SATURATE = "DoesNotSaturate"
-INDETERMINATE_FIRST_ORDER = "IndeterminateFirstOrder"
 
 TAG_ORTHOGONAL = "orthogonal"
 TAG_NON_ORTHOGONAL = "non_orthogonal"
@@ -59,7 +52,6 @@ class ConditionResidual:
     condition: str                # "T1", "T2" or "WC"
     indices: tuple                # derivative index pair (l, m) or (l,) achieving the max
     indeterminate_first_order: bool = False
-    limit_converged: bool = True
 
 
 def classify_projectors(psi, projectors: ProjectorSet,
@@ -70,147 +62,106 @@ def classify_projectors(psi, projectors: ProjectorSet,
     if psi.shape != (projectors.basis.dim,):
         raise BasisMismatchError("state and projector set use different bases")
     overlaps = np.abs(projectors.vectors.conj() @ psi)
-    tags, orthogonal, non_orthogonal, probe = [], [], [], []
-    for k, overlap in enumerate(overlaps):
-        if overlap < eps_orth:
-            tags.append(TAG_ORTHOGONAL)
-            orthogonal.append(k)
-        elif overlap > 1.0 - eps_orth:
-            tags.append(TAG_PROBE)
-            probe.append(k)
-            non_orthogonal.append(k)
-        else:
-            tags.append(TAG_NON_ORTHOGONAL)
-            non_orthogonal.append(k)
+    orthogonal = overlaps < eps_orth
+    probe = ~orthogonal & (overlaps > 1.0 - eps_orth)
+    tags = np.where(orthogonal, TAG_ORTHOGONAL,
+                    np.where(probe, TAG_PROBE, TAG_NON_ORTHOGONAL))
     return ProjectorClassification(
         overlaps=overlaps,
-        tags=tags,
-        orthogonal=orthogonal,
-        non_orthogonal=non_orthogonal,
-        probe=probe,
+        tags=tags.tolist(),
+        orthogonal=np.flatnonzero(orthogonal).tolist(),
+        non_orthogonal=np.flatnonzero(~orthogonal).tolist(),
+        probe=np.flatnonzero(probe).tolist(),
     )
 
 
 def weak_commutativity_residual(bundle: DerivativeBundle) -> float:
     """max over l < m of |Im <d_l psi|d_m psi>| (zero for a single phase)."""
-    worst = 0.0
-    for l in range(bundle.d):
-        for m in range(l + 1, bundle.d):
-            worst = max(worst, abs(np.vdot(bundle.dpsi[l], bundle.dpsi[m]).imag))
-    return worst
+    gram = bundle.dpsi.conj() @ bundle.dpsi.T
+    return float(np.max(np.abs(np.triu(gram.imag, 1)), initial=0.0))
 
 
-def _first_order_residual(damp_k) -> tuple:
-    """max_{l,m} |Im[<d_l psi|Y><Y|d_m psi>]| and the achieving pair."""
-    d = damp_k.shape[0]
-    best, pair = 0.0, (0, 0)
-    for l in range(d):
-        for m in range(d):
-            value = abs((np.conj(damp_k[l]) * damp_k[m]).imag)
-            if value > best:
-                best, pair = value, (l, m)
-    return best, pair
+def _derivative_overlaps(bundle: DerivativeBundle, projectors: ProjectorSet) -> np.ndarray:
+    """``<Y_k|d_l psi>`` with shape (d, K)."""
+    return bundle.dpsi @ projectors.vectors.conj().T
+
+
+def _first_order_residual(damp) -> tuple:
+    """max_{l,m} |Im[<d_l psi|Y><Y|d_m psi>]| per column of a (d, n) ``damp``.
+
+    Returns the values and the flat index ``l * d + m`` of the first
+    achieving pair.
+    """
+    d, n = damp.shape
+    # Im[conj(x) y] = Re x Im y - Im x Re y, formed from separate products
+    # so that it is exactly antisymmetric and zero on the diagonal.
+    re, im = damp.real, damp.imag
+    bilinear = np.abs(re[:, None, :] * im[None, :, :] - im[:, None, :] * re[None, :, :])
+    bilinear = bilinear.reshape(d * d, n)
+    best = np.argmax(bilinear, axis=0)
+    return bilinear[best, np.arange(n)], best
 
 
 def orthogonal_condition_residuals(model: Interferometer, bundle: DerivativeBundle,
                                    projectors: ProjectorSet, indices,
-                                   policy: LimitPolicy = DEFAULT_LIMIT_POLICY) -> list:
-    """Residuals for projectors orthogonal to the probe.
+                                   policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
+                                   damp=None) -> list:
+    """Residuals for projectors orthogonal to the probe, in projector order.
 
     With a nonzero first-order overlap the residual is the largest
     imaginary part of the bilinear <d_l psi|Y><Y|d_m psi>.  When every
-    first-order overlap vanishes the condition is indeterminate at first
-    order; the defining 0/0 ratio is then evaluated along the policy
-    direction and extrapolated, and the projector is flagged.
+    first-order overlap is below ``policy.derivative_floor`` the condition
+    is indeterminate at first order: the defining ratio
+    Im[<d_l psi|Y><Y|psi>]/|<Y|psi>| is O(delta) along any path, since
+    <Y|psi> is O(delta^2) and its derivatives O(delta), and its bound
+    max_l |<Y|d_l psi>| is reported with the projector flagged.  ``damp``
+    may pass the (d, K) overlaps <Y_k|d_l psi>; ``model`` is not used.
     """
-    results = []
-    if not indices:
-        return results
-    damp = np.stack([projectors.vectors.conj() @ dp for dp in bundle.dpsi])
-
-    fallback = [k for k in indices
-                if np.max(np.abs(damp[:, k])) < policy.derivative_floor]
-    direct = [k for k in indices if k not in fallback]
-
-    for k in direct:
-        value, pair = _first_order_residual(damp[:, k])
-        results.append(ConditionResidual(projector=k, value=value,
-                                         condition="T1", indices=pair))
-
-    if fallback:
-        directions = limit_directions(bundle.d, policy.unit_direction(bundle.d))
-        # The ratio has no 1/delta amplification, so shrinking the steps
-        # only improves its extrapolation.
-        scaled = [s * policy.fallback_step_scale for s in policy.steps]
-        evaluator = _StepEvaluator(model, bundle.theta, projectors, scaled)
-        bounds = np.max(np.abs(damp[:, fallback]), axis=0)
-        results += _ratio_limit_residuals(np.asarray(fallback), directions,
-                                          evaluator, bounds, policy)
-    results.sort(key=lambda r: r.projector)
-    return results
-
-
-def _ratio_limit_residuals(outcomes, directions, evaluator, bounds, policy) -> list:
-    """Extrapolate the defining 0/0 ratio for first-order-dark projectors.
-
-    The ratio magnitude is bounded by |<Y|d_l psi_phi>|, which converges to
-    the first-order overlap at the working point, so the limit can never
-    exceed ``bounds`` (below the derivative floor by precondition).  The
-    numerical extrapolation refines that certificate along the first
-    direction whose displaced overlaps carry signal at every step; where
-    the numerics stay dark or unresolved the bound itself is reported.
-    The projectors still open at a direction are evaluated together.
-    """
-    values = np.array(bounds, dtype=float)
-    indices = np.zeros(len(outcomes), dtype=int)
-    open_ = np.ones(len(outcomes), dtype=bool)
-    for j, direction in enumerate(directions):
-        if not open_.any():
-            break
-        amp, damp = evaluator.along(j, direction)
-        chosen = np.flatnonzero(open_)
-        a = amp[:, outcomes[chosen]]
-        lit = np.all(np.abs(a) >= policy.derivative_floor, axis=0)
-        chosen, a = chosen[lit], a[:, lit]
-        bilinear = np.conj(damp[:, :, outcomes[chosen]]) * a[:, None, :]
-        ratios = bilinear.imag / np.abs(a[:, None, :])
-        limit, spread = _richardson(ratios)
-        scale = np.maximum(1.0, np.max(np.abs(limit), axis=0, initial=0.0))
-        converged = ~(np.max(spread, axis=0, initial=0.0) > policy.convergence_tol * scale)
-        chosen, limit = chosen[converged], limit[:, converged]
-        best = np.argmax(np.abs(limit), axis=0)
-        values[chosen] = np.abs(limit[best, np.arange(len(chosen))])
-        indices[chosen] = best
-        open_[chosen] = False
+    indices = np.asarray(sorted(indices), dtype=int)
+    if not indices.size:
+        return []
+    if damp is None:
+        damp = _derivative_overlaps(bundle, projectors)
+    columns = damp[:, indices]
+    magnitudes = np.abs(columns)
+    bounds, strongest = np.max(magnitudes, axis=0), np.argmax(magnitudes, axis=0)
+    values, pairs = _first_order_residual(columns)
+    dark = bounds < policy.derivative_floor
+    rows = zip(indices.tolist(), dark.tolist(), bounds.tolist(), strongest.tolist(),
+               values.tolist(), (pairs // bundle.d).tolist(), (pairs % bundle.d).tolist())
     return [
-        ConditionResidual(projector=int(k), value=float(value), condition="T1",
-                          indices=(int(l),), indeterminate_first_order=True,
-                          limit_converged=True)
-        for k, value, l in zip(outcomes, values, indices)
+        ConditionResidual(projector=k, value=bound, condition="T1", indices=(l,),
+                          indeterminate_first_order=True)
+        if is_dark else
+        ConditionResidual(projector=k, value=value, condition="T1", indices=(l1, m1))
+        for k, is_dark, bound, l, value, l1, m1 in rows
     ]
 
 
 def overlap_condition_residuals(bundle: DerivativeBundle, projectors: ProjectorSet,
-                                indices) -> list:
+                                indices, damp=None) -> list:
     """Residuals for projectors with nonzero probe overlap.
 
     The condition compares Im[<d_l psi|Y><Y|psi>] against
-    |<psi|Y>|^2 Im[<d_l psi|psi>] for every derivative index.
+    |<psi|Y>|^2 Im[<d_l psi|psi>] for every derivative index.  ``damp``
+    may pass the (d, K) overlaps <Y_k|d_l psi>.
     """
-    results = []
-    if not indices:
-        return results
-    amp = projectors.vectors.conj() @ bundle.psi
-    damp = np.stack([projectors.vectors.conj() @ dp for dp in bundle.dpsi])
-    phase_rates = np.array([np.vdot(dp, bundle.psi).imag for dp in bundle.dpsi])
-    for k in indices:
-        lhs = (np.conj(damp[:, k]) * amp[k]).imag
-        rhs = (abs(amp[k]) ** 2) * phase_rates
-        deviation = np.abs(lhs - rhs)
-        l = int(np.argmax(deviation))
-        results.append(ConditionResidual(projector=k, value=float(deviation[l]),
-                                         condition="T2", indices=(l,)))
-    return results
+    indices = np.asarray(indices, dtype=int)
+    if not indices.size:
+        return []
+    if damp is None:
+        damp = _derivative_overlaps(bundle, projectors)
+    amp = projectors.vectors[indices].conj() @ bundle.psi
+    phase_rates = (bundle.dpsi.conj() @ bundle.psi).imag
+    lhs = (np.conj(damp[:, indices]) * amp).imag
+    rhs = np.abs(amp) ** 2 * phase_rates[:, None]
+    deviation = np.abs(lhs - rhs)
+    worst = np.argmax(deviation, axis=0)
+    values = deviation[worst, np.arange(len(indices))]
+    return [
+        ConditionResidual(projector=k, value=value, condition="T2", indices=(l,))
+        for k, value, l in zip(indices.tolist(), values.tolist(), worst.tolist())
+    ]
 
 
 @dataclass
@@ -238,8 +189,7 @@ class SaturationReport:
             "t1": [
                 {"projector": r.projector, "value": r.value,
                  "indices": list(r.indices),
-                 "indeterminate_first_order": r.indeterminate_first_order,
-                 "limit_converged": r.limit_converged}
+                 "indeterminate_first_order": r.indeterminate_first_order}
                 for r in self.t1
             ],
             "t2": [
@@ -266,10 +216,10 @@ class SaturationReport:
             non_orthogonal=[i for i, t in enumerate(tags) if t != TAG_ORTHOGONAL],
             probe=[i for i, t in enumerate(tags) if t == TAG_PROBE],
         )
+        # Older reports also carry "limit_converged", which was always true.
         t1 = [ConditionResidual(projector=e["projector"], value=e["value"],
                                 condition="T1", indices=tuple(e["indices"]),
-                                indeterminate_first_order=e["indeterminate_first_order"],
-                                limit_converged=e["limit_converged"])
+                                indeterminate_first_order=e["indeterminate_first_order"])
               for e in data["t1"]]
         t2 = [ConditionResidual(projector=e["projector"], value=e["value"],
                                 condition="T2", indices=tuple(e["indices"]))
@@ -305,24 +255,18 @@ def check_saturation(model: Interferometer, theta, projectors: ProjectorSet,
     bundle = model.derivative_bundle(theta).validate()
     classification = classify_projectors(bundle.psi, projectors,
                                          tolerances.orthogonal_overlap)
+    damp = _derivative_overlaps(bundle, projectors)
     wc = weak_commutativity_residual(bundle)
     t1 = orthogonal_condition_residuals(model, bundle, projectors,
-                                        classification.orthogonal, policy)
+                                        classification.orthogonal, policy, damp=damp)
     t2 = overlap_condition_residuals(bundle, projectors,
-                                     classification.non_orthogonal)
+                                     classification.non_orthogonal, damp=damp)
 
     residuals = [wc] + [r.value for r in t1] + [r.value for r in t2]
     all_pass = all(value < tolerances.saturation_residual for value in residuals)
-    unconverged = any(not r.limit_converged for r in t1)
+    verdict = SATURATES if all_pass else DOES_NOT_SATURATE
 
     pair = fisher_pair(model, theta, projectors, policy)
-
-    if all_pass and unconverged:
-        verdict = INDETERMINATE_FIRST_ORDER
-    elif all_pass:
-        verdict = SATURATES
-    else:
-        verdict = DOES_NOT_SATURATE
 
     if verdict == SATURATES and pair.gap >= tolerances.saturation_gap:
         raise InternalInconsistencyError(

@@ -26,24 +26,25 @@ DEFAULT_TOLERANCES = Tolerances()
 
 @dataclass(frozen=True)
 class LimitPolicy:
-    """How indeterminate 0/0 contributions at zero-probability outcomes are resolved.
+    """How the terms of zero-probability outcomes are resolved.
 
-    The limit is taken along ``theta + delta * direction`` for the listed
-    step sizes and Richardson-extrapolated.  ``direction=None`` means the
-    diagonal direction (1, ..., 1)/sqrt(d).  Outcomes whose probability
-    stays below ``probability_floor`` at every step are identically zero
-    along the path and contribute nothing.
+    Each outcome's term ``dP_l dP_m / P`` is evaluated as
+    ``4 Re[conj(da_l) a^] Re[conj(da_m) a^]`` with ``a^ = a/|a|``.  Where
+    ``|a|`` is at or below ``amplitude_floor`` the outcome is dark and
+    ``a^`` is the phase of the leading term of ``a(theta + delta * u)``
+    as ``delta -> 0``, along ``direction`` first (``None`` means the
+    diagonal (1, ..., 1)/sqrt(d)) and then the fallbacks of
+    ``fisher.limit_directions``.  The floor is a trade-off: ``a`` carries
+    roundoff of about 1e-16, so above the floor ``a^`` has a phase error
+    of about ``1e-16/|a|``.
     """
 
-    probability_floor: float = 1e-12
-    derivative_floor: float = 1e-12   # all |<Y|d_j psi>| below this: contribution vanishes analytically
-    step_floor: float = 1e-18         # below this a displaced probability counts as structurally zero
+    probability_floor: float = 1e-12  # below this an outcome is singular (reported, |a| recomputed)
+    amplitude_floor: float = 1e-10    # |<Y|psi>| at or below this: dark, phase from the limit
+    derivative_floor: float = 1e-12   # overlaps below this vanish (zero term, or next order)
     direction: tuple | None = None
-    steps: tuple = (1e-3, 5e-4, 2.5e-4)
-    convergence_tol: float = 1e-6
-    fallback_step_scale: float = 0.1  # first-order-dark ratio limits shrink the steps by this factor
-    audit_directions: bool = False    # also evaluate along each coordinate axis
-    audit_spread: float = 1e-5        # spread flagged as direction dependence
+    audit_directions: bool = False    # flag dark outcomes whose limit depends on the direction
+    audit_spread: float = 1e-5        # T1 residual of a dark outcome flagged as direction dependent
 
     def unit_direction(self, d: int) -> np.ndarray:
         if self.direction is None:

@@ -3,15 +3,16 @@
 Random QR-unitary instruments (up to four modes, three photons and m - 1
 phases) are evaluated on grids that hold singular points: theta = 0 and
 2 pi (the splitters cancel and every other outcome is dark), a point
-within 1e-7 of zero (probabilities below the floor but not zero) and
-generic points.
+within 1e-7 of zero (probabilities below the floor but not zero, where
+the phase of each near-dark amplitude amplifies its rounding) and generic
+points.  No point may raise.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiphase import EstimationError, Interferometer, ProjectorSet, fisher_pair, fisher_pairs
+from multiphase import Interferometer, ProjectorSet, fisher_pair, fisher_pairs
 
 
 @st.composite
@@ -35,31 +36,13 @@ def instruments(draw):
     return model, thetas
 
 
-def outcome(call):
-    try:
-        return call(), None
-    except EstimationError as exc:
-        return None, exc
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(instruments())
 def test_batched_equals_per_point(case):
     model, thetas = case
     fock = ProjectorSet.fock(model.basis)
-    per_point = [outcome(lambda t=t: fisher_pair(model, t, fock)) for t in thetas]
-    _, error = outcome(lambda: fisher_pairs(model, thetas, fock))
-    raised = [type(exc) for _, exc in per_point if exc is not None]
-    if raised:
-        assert type(error) in raised
-    else:
-        assert error is None
-
-    # Points within 1e-7 of a dark point may not converge; the rest must
-    # agree with their per-point values in any batch.
-    wanted = [pair for pair, exc in per_point if exc is None]
-    kept = thetas[[exc is None for _, exc in per_point]]
-    for got, want in zip(fisher_pairs(model, kept, fock), wanted):
+    wanted = [fisher_pair(model, t, fock) for t in thetas]
+    for got, want in zip(fisher_pairs(model, thetas, fock), wanted):
         tol = 1e-12 * max(1.0, np.max(np.abs(want.qfim)))
         assert np.max(np.abs(got.fim - want.fim)) <= tol
         assert np.max(np.abs(got.qfim - want.qfim)) <= tol

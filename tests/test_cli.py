@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multiphase
 from multiphase import (
     SATURATES,
     LimitPolicy,
@@ -188,6 +193,24 @@ class TestScanBatch:
         assert bool(reported) == flagged
 
 
+class TestRepeatedCalls:
+    def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        # The parser is built once per process; an audited scan must not
+        # leak its flag into the next call.
+        argv = ["scan", "--model", "mzi3", "--resolution", "6,6"]
+        audited, plain, fresh = (tmp_path / f"{n}.csv" for n in ("audited", "plain", "fresh"))
+        _, out, _ = run(capsys, *argv, "--audit-directions", "--out", str(audited))
+        assert json.loads(out)["direction_dependent_cells"]
+        code, out, _ = run(capsys, *argv, "--out", str(plain))
+        assert code == 0
+        assert json.loads(out)["direction_dependent_cells"] == []
+
+        env = dict(os.environ, PYTHONPATH=str(Path(multiphase.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-m", "multiphase.cli", *argv, "--out", str(fresh)],
+                       check=True, capture_output=True, env=env)
+        assert plain.read_bytes() == fresh.read_bytes()
+
+
 class TestCheckSaturation:
     def test_exit_zero_for_both_verdicts(self, capsys):
         code, out, _ = run(capsys, "check-saturation", "--model", "mzi3",
@@ -281,6 +304,15 @@ class TestConfiguration:
                            "--tol-gap", "1e-6", "--out", str(out_path))
         summary = json.loads(out)
         assert len(summary["saturating_cells"]) == 5
+
+    def test_retired_limit_tolerance_rejected(self, capsys, tmp_path):
+        # Singular outcomes have no extrapolation left to tolerate.
+        config = tmp_path / "settings.cfg"
+        config.write_text("tol-limit = 1e-6\n")
+        code, _, err = run(capsys, "compute", "--model", "mzi3",
+                           "--theta", "0,0", "--config", str(config))
+        assert code == 2
+        assert "unknown key" in err
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "settings.cfg"

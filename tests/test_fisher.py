@@ -25,6 +25,7 @@ from multiphase import (
     spectral_norm,
     tritter,
 )
+from oracles import richardson_fim
 
 QFIM3 = (8.0 / 3.0) * np.array([[2.0, -1.0], [-1.0, 2.0]])
 QFIM4 = 2.0 * np.array([[3.0, -1.0], [-1.0, 3.0]])
@@ -273,3 +274,51 @@ class TestFisherPairs:
         assert audited.direction_dependent
         assert audited.diagnostics.direction_dependent
         assert np.array_equal(audited.fim, plain.fim)
+
+
+class TestDarkOutcomes:
+    """Closed-form dark terms against the three-step Richardson limit."""
+
+    @pytest.mark.parametrize("name, theta", [("mzi4", [0.9, 0.9]), ("mzi3", [0.0, 0.0])])
+    def test_default_direction_matches_richardson(self, name, theta):
+        model = builtin_model(name)
+        fock = ProjectorSet.fock(model.basis)
+        pair = fisher_pair(model, theta, fock)
+        assert pair.diagnostics.limit_evaluated
+        reference = richardson_fim(model, theta, fock, np.ones(2))
+        assert np.max(np.abs(pair.fim - reference)) <= 1e-9
+
+    def test_fallback_direction_inside_the_locus(self):
+        # On mzi4 the diagonal keeps the locus outcomes dark to every order,
+        # so they resolve along the generic fallback direction.
+        model = builtin_model("mzi4")
+        pair = fisher_pair(model, [0.9, 0.9], ProjectorSet.fock(model.basis))
+        assert pair.diagnostics.off_axis
+        assert not pair.diagnostics.second_order
+        assert not pair.diagnostics.path_null
+
+    def test_second_order_direction_matches_richardson(self):
+        model = builtin_model("mzi4")
+        fock = ProjectorSet.fock(model.basis)
+        pair = fisher_pair(model, [0.0, 0.0], fock, LimitPolicy(direction=(1.0, -1.0)))
+        assert pair.diagnostics.second_order
+        reference = richardson_fim(model, [0.0, 0.0], fock, [1.0, -1.0])
+        assert np.max(np.abs(pair.fim - reference)) <= 1e-9
+
+    def test_zero_probability_floor_still_resolves_dark_outcomes(self):
+        model = builtin_model("mzi4")
+        fock = ProjectorSet.fock(model.basis)
+        plain = fisher_pair(model, [0.9, 0.9], fock)
+        floorless = fisher_pair(model, [0.9, 0.9], fock, LimitPolicy(probability_floor=0.0))
+        assert np.array_equal(floorless.fim, plain.fim)
+        assert floorless.diagnostics == plain.diagnostics
+
+    def test_terms_stay_bounded_next_to_a_dark_point(self):
+        # Each term is bounded by 4 |da_l| |da_m|, however small P is.
+        model = builtin_model("mzi3")
+        fock = ProjectorSet.fock(model.basis)
+        for offset in (1e-5, 1e-8, 1e-11):
+            pair = fisher_pair(model, [offset, 2.0 * offset], fock)
+            assert pair.diagnostics.singular_outcomes
+            assert np.all(np.isfinite(pair.fim))
+            assert np.min(hermitian_eigenvalues(pair.qfim - pair.fim)) > -1e-8

@@ -123,6 +123,29 @@ class TestDerivativeBundle:
         ratio = error(2e-4) / error(1e-4)
         assert 3.5 < ratio < 4.5
 
+    def test_second_derivatives_match_finite_differences(self):
+        model = builtin_model("mzi4")
+        theta, delta = np.array([1.2, 0.5]), 1e-5
+        exact = model.second_derivatives(theta)
+        assert exact.shape == (2, 2, model.basis.dim)
+        for l in range(2):
+            step = delta * np.eye(2)[l]
+            approx = (model.derivative_bundle(theta + step).dpsi
+                      - model.derivative_bundle(theta - step).dpsi) / (2 * delta)
+            assert np.max(np.abs(exact[:, l] - approx)) < 1e-8
+        batch = model.second_derivatives(np.stack([theta, theta + 0.3]))
+        assert np.allclose(batch[0], exact, atol=1e-14)
+
+    def test_amplitudes_match_the_output_state(self):
+        model = builtin_model("mzi3")
+        rng = np.random.default_rng(3)
+        thetas = rng.uniform(0, 2 * np.pi, size=(4, 2))
+        rows = rng.normal(size=(4, 10)) + 1j * rng.normal(size=(4, 10))
+        expected = [np.vdot(row, model.output_state(t)) for t, row in zip(thetas, rows)]
+        assert np.allclose(model.amplitudes(thetas, rows), expected, atol=1e-13)
+        single = [model.amplitudes(thetas[i:i + 1], rows[i:i + 1])[0] for i in range(4)]
+        assert np.array_equal(model.amplitudes(thetas, rows), single)
+
     def test_derivative_overlap_purely_imaginary(self):
         rng = np.random.default_rng(37)
         model = builtin_model("mzi3")

@@ -117,6 +117,33 @@ class TestOrthogonalConditionResiduals:
             assert r.indeterminate_first_order
             assert r.value < 1e-9
 
+    def test_first_order_dark_reports_its_bound(self):
+        model = builtin_model("mzi3")
+        bundle = model.derivative_bundle([0.0, 0.0])
+        fock = ProjectorSet.fock(model.basis)
+        k = model.basis.index_of((3, 0, 0))
+        (r,) = orthogonal_condition_residuals(model, bundle, fock, [k])
+        damp = np.abs(fock.vectors[k].conj() @ bundle.dpsi.T)
+        assert r.indeterminate_first_order
+        assert r.value == np.max(damp) < LimitPolicy().derivative_floor
+        assert r.indices == (int(np.argmax(damp)),)
+
+    def test_matches_a_per_projector_loop(self):
+        rng = np.random.default_rng(7)
+        model = builtin_model("mzi3")
+        bundle = model.derivative_bundle([0.4, 1.2])
+        q, _ = np.linalg.qr(rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10)))
+        pset = ProjectorSet(model.basis, q.T, complete=True)
+        got = orthogonal_condition_residuals(model, bundle, pset, [7, 2, 5])
+        assert [r.projector for r in got] == [2, 5, 7]
+        for r in got:
+            damp = pset.vectors[r.projector].conj() @ bundle.dpsi.T
+            values = {(l, m): abs((np.conj(damp[l]) * damp[m]).imag)
+                      for l in range(2) for m in range(2)}
+            assert r.indices[0] != r.indices[1]
+            assert r.value == pytest.approx(max(values.values()), abs=1e-15)
+            assert values[r.indices] == pytest.approx(r.value, abs=1e-15)
+
     def test_four_mode_origin_all_vanish(self):
         model = builtin_model("mzi4")
         bundle = model.derivative_bundle([0.0, 0.0])
@@ -159,6 +186,21 @@ class TestOverlapConditionResiduals:
         cls = classify_projectors(bundle.psi, fock)
         residuals = overlap_condition_residuals(bundle, fock, cls.non_orthogonal)
         assert max(r.value for r in residuals) > 1e-3
+
+    def test_matches_a_per_projector_loop(self):
+        model = builtin_model("mzi3")
+        bundle = model.derivative_bundle([0.7, 0.3])
+        fock = ProjectorSet.fock(model.basis)
+        indices = [9, 0, 4]
+        got = overlap_condition_residuals(bundle, fock, indices)
+        assert [r.projector for r in got] == indices
+        rates = np.array([np.vdot(dp, bundle.psi).imag for dp in bundle.dpsi])
+        for r in got:
+            amp = np.vdot(fock.vectors[r.projector], bundle.psi)
+            damp = np.array([np.vdot(fock.vectors[r.projector], dp) for dp in bundle.dpsi])
+            deviation = np.abs((np.conj(damp) * amp).imag - abs(amp) ** 2 * rates)
+            assert r.indices == (int(np.argmax(deviation)),)
+            assert r.value == pytest.approx(np.max(deviation), abs=1e-15)
 
     def test_invariant_under_projector_phase(self):
         model = builtin_model("mzi4")
@@ -214,6 +256,16 @@ class TestCheckSaturation:
         assert report.direction_dependent
         clone = SaturationReport.from_json(report.to_json())
         assert clone.direction_dependent
+        assert clone.to_json() == report.to_json()
+
+    def test_reports_with_limit_converged_still_load(self):
+        model = builtin_model("mzi3")
+        report = check_saturation(model, [0.0, 0.0], ProjectorSet.fock(model.basis))
+        data = report.to_dict()
+        assert all("limit_converged" not in entry for entry in data["t1"])
+        for entry in data["t1"]:
+            entry["limit_converged"] = True
+        clone = SaturationReport.from_dict(data)
         assert clone.to_json() == report.to_json()
 
     def test_single_parameter_always_saturates(self):
