@@ -1,8 +1,9 @@
 """Auditing a measurement with the saturation conditions.
 
 Instead of comparing full matrices, the per-projector condition residuals
-say exactly which projectors spoil optimality.  The report carries the
-independently computed gap as a cross check and serializes to JSON.
+say exactly which projectors spoil optimality.  The verdict is read from
+the conditions' deficit 4 sum_k q_k q_k^T, which equals F_Q - F; the
+report carries that gap and serializes to JSON.
 """
 
 import numpy as np

@@ -9,25 +9,26 @@ from .errors import (
     IncompleteSetError,
     InternalInconsistencyError,
     LimitNonConvergentError,
-    MixInfeasibleError,
     NotHermitianError,
     NotSquareError,
     NotUnitaryError,
     SizeOverflowError,
     StepTooLargeError,
-    WeakCommutativityError,
 )
 from .fisher import (
     FimDiagnostics,
     FisherPair,
+    OverlapRecord,
     ProjectorSet,
     fim,
     fim_finite_difference,
     fim_from_bundle,
     fisher_pair,
     fisher_pairs,
+    overlap_record,
     probabilities,
     qfim,
+    quantum_gaps,
 )
 from .fock import (
     FockBasis,
@@ -69,6 +70,7 @@ from .saturation import (
     SaturationReport,
     check_saturation,
     classify_projectors,
+    condition_deficit,
     orthogonal_condition_residuals,
     overlap_condition_residuals,
     weak_commutativity_residual,

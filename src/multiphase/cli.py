@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: ``compute`` (single-point Fisher matrices), ``scan``
-(phase-grid sweep to CSV/JSON), ``check-saturation`` (condition report),
-``construct-optimal`` (saturating projector sets), ``verify-paper``
-(reference-value regression table).
+(phase-grid sweep to CSV/JSON), ``check-saturation`` (condition report;
+the verdict compares the largest eigenvalue of the condition deficit
+``4 sum_k q_k q_k^T`` with ``tol-gap``), ``construct-optimal`` (saturating
+projector sets), ``verify-paper`` (reference-value regression table).
 
 Exit codes: 0 ok, 1 verification failure, 2 configuration error,
-4 construction self-check failure, 5 weak-commutativity violation,
-6 internal inconsistency (theory and numerics disagree, e.g. the
-classical matrix exceeds the quantum bound).  Code 3 (numerical
-non-convergence) is retired: singular outcomes are resolved in closed
-form, and nothing raises it any more.
+4 construction self-check failure, 6 internal inconsistency (theory and
+numerics disagree, e.g. the classical matrix exceeds the quantum bound,
+or ``F_Q - F`` differs from the condition deficit).  Codes 3 (numerical
+non-convergence) and 5 (weak-commutativity violation) are retired:
+singular outcomes are resolved in closed form, and the derivative states
+of every model commute weakly.
 """
 
 import argparse
@@ -22,11 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    EstimationError,
-    InternalInconsistencyError,
-    WeakCommutativityError,
-)
+from .errors import EstimationError, InternalInconsistencyError
 from .fisher import ProjectorSet, fisher_pair, fisher_pairs
 from .interferometer import builtin_model, load_model, tritter, quarter
 from .linalg import spectral_norm
@@ -35,7 +33,6 @@ from .saturation import DOES_NOT_SATURATE, SATURATES, check_saturation
 from .tolerances import DEFAULT_LIMIT_POLICY, DEFAULT_TOLERANCES
 
 _CONFIG_KEYS = {
-    "tol-sat": ("tolerances", "saturation_residual"),
     "tol-gap": ("tolerances", "saturation_gap"),
     "tol-orth": ("tolerances", "orthogonal_overlap"),
     "tol-wc": ("tolerances", "weak_commutativity"),
@@ -280,10 +277,6 @@ def cmd_construct_optimal(args) -> int:
             raise InternalInconsistencyError(
                 f"constructed set verdict is {report.verdict}"
             )
-    except WeakCommutativityError as exc:
-        print(f"weak commutativity violated: max |Im Omega| = {exc.residual:.6e}",
-              file=sys.stderr)
-        return 5
     except InternalInconsistencyError as exc:
         print(f"construction self-check failed: {exc}", file=sys.stderr)
         return 4
@@ -487,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("orthogonal", "nonorthogonal"),
                    default="orthogonal")
     p.add_argument("--mix", type=float, default=0.5,
-                   help="probe admixture for the nonorthogonal variant")
+                   help="probe admixture for the nonorthogonal variant, in (0, 1); "
+                        "does not change the result")
     _add_common_options(p)
     p.set_defaults(func=cmd_construct_optimal)
 
@@ -509,9 +503,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except WeakCommutativityError as exc:
-        print(f"weak commutativity violated: {exc}", file=sys.stderr)
-        return 5
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 6

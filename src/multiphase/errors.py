@@ -54,17 +54,5 @@ class StepTooLargeError(EstimationError):
     """Finite-difference step too coarse for the probability landscape."""
 
 
-class WeakCommutativityError(EstimationError):
-    """No projective measurement can saturate: Im(Omega) is too large."""
-
-    def __init__(self, residual, message=None):
-        self.residual = float(residual)
-        super().__init__(message or f"weak commutativity violated: max |Im Omega| = {residual:.3e}")
-
-
-class MixInfeasibleError(EstimationError):
-    """Mixing rotation cannot keep all probe overlaps above threshold."""
-
-
 class InternalInconsistencyError(EstimationError):
     """Theory and numerics disagree; never swallowed."""

@@ -8,7 +8,8 @@ are summed in one product.  At a dark outcome (``a`` zero) ``a^`` is the
 phase of the leading term of ``a(theta + delta u)``: ``u.da`` at first
 order, else ``u^T H u`` with ``H_lm = <Y_k|d_l d_m psi>``, tried along each
 of ``limit_directions`` in turn.  Outcomes whose first-order overlaps all
-vanish contribute zero.
+vanish contribute zero.  ``overlap_record`` forms ``z = conj(da) a^`` once
+for the classical matrix and for the saturation conditions.
 """
 
 import json
@@ -133,15 +134,28 @@ class FimDiagnostics:
     shortcut_zero: list = field(default_factory=list)       # first-order overlaps vanish: zero term
     limit_evaluated: list = field(default_factory=list)     # term from the closed form
     second_order: list = field(default_factory=list)        # dark; phase from the second-order term
-    path_null: list = field(default_factory=list)           # dark to second order along every direction
     off_axis: list = field(default_factory=list)            # dark; needed a fallback direction
     direction_dependent: bool = False
 
 
-def _overlap_data(bundle: DerivativeBundle, projectors: ProjectorSet):
-    """Per-outcome overlaps with the state and each derivative state."""
-    rows = projectors.vectors.conj().T
-    return bundle.psi @ rows, bundle.dpsi @ rows   # <Y_k|psi>, damp[..., l, k] = <Y_k|d_l psi>
+@dataclass(frozen=True)
+class OverlapRecord:
+    """Every outcome's overlaps at a stack of G points, with the phases ``a^``.
+
+    ``z[g, l, k] = conj(<Y_k|d_l psi>) a^_k``: the outcome scores are
+    ``2 Re z``, and ``Im z`` carries the saturation conditions.
+    """
+
+    magnitudes: np.ndarray    # |<Y_k|psi>|, (G, K)
+    derivatives: np.ndarray   # <Y_k|d_l psi>, (G, d, K)
+    z: np.ndarray             # (G, d, K)
+    diagnostics: list         # one FimDiagnostics per point
+
+    def fim(self) -> np.ndarray:
+        """The classical matrices, (G, d, d)."""
+        scores = 2.0 * self.z.real
+        matrix = scores @ np.swapaxes(scores, -1, -2)
+        return 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
 
 
 def limit_directions(d: int, primary) -> list:
@@ -149,10 +163,9 @@ def limit_directions(d: int, primary) -> list:
 
     An outcome whose amplitude vanishes to second order along the primary
     direction (it lies inside the singular locus) is probed along a fixed
-    generic direction and then each coordinate axis before being declared
-    dark in the whole neighborhood.  Where the saturation conditions hold
-    the limit is direction independent, so the fallback never changes a
-    saturating value.
+    generic direction and then each coordinate axis.  Where the saturation
+    conditions hold the limit is direction independent, so the fallback
+    never changes a saturating value.
     """
     directions = [np.asarray(primary, dtype=float)]
     if d > 1:
@@ -166,31 +179,38 @@ def limit_directions(d: int, primary) -> list:
     return directions
 
 
+# Leading-term candidates below this fraction of |da| vanish: just off a dark
+# set they are O(distance) and do not carry the phase of a.
+RELATIVE_DERIVATIVE_FLOOR = 1e-6
+
+
 def _dark_phases(model, thetas, projectors, da, points, outcomes, policy):
     """Limit phases ``a^`` of dark (point, outcome) pairs.
 
     ``da`` holds the pairs' (n, d) first-order overlaps.  Along each
     direction ``u`` in turn, ``a(theta + delta u)`` leads with
     ``delta u.da``, else with ``delta^2 u^T H u / 2``; the first term above
-    ``policy.derivative_floor`` gives the phase.  The sign of ``delta``
-    does not matter, as the term is quadratic in ``a^``.  Returns the
-    phases and, per pair, ``2 * direction index + order - 1``, or -1 with
-    phase 0 where every candidate vanishes (path-null).
+    ``max(policy.derivative_floor, RELATIVE_DERIVATIVE_FLOOR * |da|)``
+    gives the phase.  The sign of ``delta`` does not matter, as the term
+    is quadratic in ``a^``.  Some axis always clears the floor, because a
+    dark outcome's largest overlap does.  Returns the phases and, per
+    pair, ``2 * direction index + order - 1``.
     """
     d = da.shape[1]
     directions = np.array(limit_directions(d, policy.unit_direction(d)))
+    floor = np.maximum(policy.derivative_floor,
+                       RELATIVE_DERIVATIVE_FLOOR * np.linalg.norm(da, axis=1))
     first = da @ directions.T
     second = np.zeros_like(first)
-    pending = np.abs(first[:, 0]) <= policy.derivative_floor
+    pending = np.abs(first[:, 0]) <= floor
     if pending.any():
         states = model.second_derivatives(thetas[points[pending]])
         hessians = np.einsum("plmi,pi->plm", states,
                              projectors.vectors[outcomes[pending]].conj())
         second[pending] = np.einsum("jl,plm,jm->pj", directions, hessians, directions)
     candidates = np.stack([first, second], axis=-1).reshape(len(da), -1)
-    lit = np.abs(candidates) > policy.derivative_floor
-    choice = np.where(lit.any(axis=1), np.argmax(lit, axis=1), -1)
-    leading = np.where(choice >= 0, candidates[np.arange(len(da)), choice], 0.0)
+    choice = np.argmax(np.abs(candidates) > floor[:, None], axis=1)
+    leading = candidates[np.arange(len(da)), choice]
     magnitude = np.abs(leading)
     phases = np.divide(leading, magnitude, out=np.zeros_like(leading), where=magnitude > 0)
     return phases, choice
@@ -211,42 +231,53 @@ def fim_from_bundle(model: Interferometer, bundle: DerivativeBundle,
     A batched bundle gives a (G, d, d) stack and a list of G diagnostics.
     Every outcome of every point enters one product of scores.
     """
+    record = overlap_record(model, bundle, projectors, policy)
+    if bundle.batched:
+        return record.fim(), record.diagnostics
+    return record.fim()[0], record.diagnostics[0]
+
+
+def overlap_record(model: Interferometer, bundle: DerivativeBundle,
+                   projectors: ProjectorSet,
+                   policy: LimitPolicy = DEFAULT_LIMIT_POLICY) -> OverlapRecord:
+    """Overlaps of a complete set with a bundle, stacked as G points.
+
+    A single-point bundle gives G = 1.  ``a^`` is ``a/|a|``, or the
+    closed-form limit phase at a dark outcome.
+    """
     if projectors.basis != bundle.basis:
         raise BasisMismatchError("bundle and projector set use different bases")
     if not projectors.complete:
         raise IncompleteSetError("the Fisher matrix requires a complete set")
 
     d = bundle.d
-    amp, damp = _overlap_data(bundle, projectors)
+    rows = projectors.vectors.conj().T
     thetas = bundle.theta.reshape(-1, d)
-    amp = amp.reshape(len(thetas), len(projectors))
-    damp = damp.reshape(len(thetas), d, len(projectors))
+    amp = (bundle.psi @ rows).reshape(len(thetas), len(projectors))          # <Y_k|psi>
+    damp = (bundle.dpsi @ rows).reshape(len(thetas), d, len(projectors))     # <Y_k|d_l psi>
     magnitude = np.abs(amp)
     # Dark outcomes are singular even under a zero probability floor.
     singular = ((magnitude ** 2 < policy.probability_floor)
                 | (magnitude <= policy.amplitude_floor))
     diagnostics = [FimDiagnostics() for _ in range(len(thetas))]
     if singular.any():
-        phase = _singular_phases(model, thetas, projectors, amp, damp, singular,
-                                 policy, diagnostics)
+        phase, magnitude = _singular_phases(model, thetas, projectors, amp, damp,
+                                            singular, policy, diagnostics)
     else:
         phase = amp / magnitude
-
-    scores = 2.0 * (np.conj(damp) * phase[:, None, :]).real
-    matrix = scores @ np.swapaxes(scores, -1, -2)
-    matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
-    return matrix, diagnostics if bundle.batched else diagnostics[0]
+    return OverlapRecord(magnitudes=magnitude, derivatives=damp,
+                         z=np.conj(damp) * phase[:, None, :], diagnostics=diagnostics)
 
 
 def _singular_phases(model, thetas, projectors, amp, damp, singular, policy,
-                     diagnostics) -> np.ndarray:
-    """Phases ``a^`` of all outcomes when some are singular; fills ``diagnostics``.
+                     diagnostics) -> tuple:
+    """Phases ``a^`` and magnitudes of all outcomes when some are singular.
 
     Singular outcomes whose first-order overlaps all vanish get phase 0, a
     zero term.  Near-dark amplitudes (above ``policy.amplitude_floor``) are
     recomputed by ``model.amplitudes``, whose rounding, amplified by
     ``1/|a|`` in ``a^``, does not depend on the batch.  Dark ones take the
-    phase of their limit from ``_dark_phases``.
+    phase of their limit from ``_dark_phases``.  Fills ``diagnostics``.
     """
     magnitude = np.abs(amp)
     shortcut = singular & (np.max(np.abs(damp), axis=1) < policy.derivative_floor)
@@ -257,27 +288,25 @@ def _singular_phases(model, thetas, projectors, amp, damp, singular, policy,
         amp[g, k] = model.amplitudes(thetas[g], projectors.vectors[k])
         magnitude[g, k] = np.abs(amp[g, k])
     phase = np.divide(amp, magnitude, out=np.zeros_like(amp), where=~(shortcut | dark))
-    choice = np.full(amp.shape, -1)
-    if dark.any():
-        g, k = np.nonzero(dark)
+    choice = np.zeros(amp.shape, dtype=int)
+    g, k = np.nonzero(dark)
+    if g.size:
         phase[g, k], choice[g, k] = _dark_phases(model, thetas, projectors,
                                                  damp[g, :, k], g, k, policy)
 
-    path_null = dark & (choice < 0)
     flagged = np.zeros(len(thetas), dtype=bool)
     if policy.audit_directions and damp.shape[1] > 1:
         # The limit at a dark outcome is direction independent exactly when
         # Im[conj(da_l) da_m] vanishes, the first-order (T1) condition.
-        g, k = np.nonzero(dark & ~path_null)
         da = damp[g, :, k]
         t1 = np.abs((np.conj(da)[:, :, None] * da[:, None, :]).imag).max(axis=(1, 2))
         flagged[g[t1 > policy.audit_spread]] = True
-    masks = (singular, shortcut, singular & ~shortcut & ~path_null,
-             (choice >= 0) & (choice % 2 == 1), path_null, choice >= 2)   # in field order
+    masks = (singular, shortcut, singular & ~shortcut,
+             dark & (choice % 2 == 1), dark & (choice >= 2))   # in field order
     for g in np.flatnonzero(singular.any(axis=1)):
         diagnostics[g] = FimDiagnostics(*(mask[g].nonzero()[0].tolist() for mask in masks),
                                         direction_dependent=bool(flagged[g]))
-    return phase
+    return phase, magnitude
 
 
 def fim_finite_difference(model: Interferometer, theta, projectors: ProjectorSet,
@@ -318,9 +347,35 @@ class FisherPair:
     diagnostics: FimDiagnostics
 
 
+ORDERING_SLACK = 1e-8   # roundoff allowed in the checks of F against F_Q
+
+
+def quantum_gaps(classical, quantum, ordering_slack: float = ORDERING_SLACK) -> np.ndarray:
+    """Gaps ``||F_Q - F||_2`` of (G, d, d) stacks, after the ordering checks.
+
+    Raises InternalInconsistencyError at the first point where ``F <= F_Q``
+    fails or the gap exceeds ``||F_Q||_2``.
+    """
+    eigenvalues = hermitian_eigenvalues(quantum - classical)
+    smallest = np.min(eigenvalues, axis=-1)
+    bad = np.flatnonzero(smallest < -ordering_slack)
+    if bad.size:
+        raise InternalInconsistencyError(
+            "classical matrix exceeds the quantum bound: "
+            f"min eig(F_Q - F) = {smallest[bad[0]]:.3e}"
+        )
+    gaps = np.max(np.abs(eigenvalues), axis=-1)
+    bad = np.flatnonzero(gaps > spectral_norm(quantum) + ordering_slack)
+    if bad.size:
+        raise InternalInconsistencyError(
+            f"gap {gaps[bad[0]]:.3e} exceeds ||F_Q||_2; matrices are inconsistent"
+        )
+    return gaps
+
+
 def fisher_pairs(model: Interferometer, thetas, projectors: ProjectorSet,
                  policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
-                 ordering_slack: float = 1e-8) -> list:
+                 ordering_slack: float = ORDERING_SLACK) -> list:
     """``fisher_pair`` at each row of a (G, d) array of working points.
 
     The points are evaluated as one batch: one bundle, one product of
@@ -336,21 +391,7 @@ def fisher_pairs(model: Interferometer, thetas, projectors: ProjectorSet,
     bundle = model.derivative_bundle(thetas).validate()
     classical, diagnostics = fim_from_bundle(model, bundle, projectors, policy)
     quantum = qfim(bundle)
-
-    eigenvalues = hermitian_eigenvalues(quantum - classical)
-    smallest = np.min(eigenvalues, axis=-1)
-    bad = np.flatnonzero(smallest < -ordering_slack)
-    if bad.size:
-        raise InternalInconsistencyError(
-            "classical matrix exceeds the quantum bound: "
-            f"min eig(F_Q - F) = {smallest[bad[0]]:.3e}"
-        )
-    gaps = np.max(np.abs(eigenvalues), axis=-1)
-    bad = np.flatnonzero(gaps > spectral_norm(quantum) + ordering_slack)
-    if bad.size:
-        raise InternalInconsistencyError(
-            f"gap {gaps[bad[0]]:.3e} exceeds ||F_Q||_2; matrices are inconsistent"
-        )
+    gaps = quantum_gaps(classical, quantum, ordering_slack)
     return [
         FisherPair(
             theta=bundle.theta[g],
@@ -367,7 +408,7 @@ def fisher_pairs(model: Interferometer, thetas, projectors: ProjectorSet,
 
 def fisher_pair(model: Interferometer, theta, projectors: ProjectorSet,
                 policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
-                ordering_slack: float = 1e-8) -> FisherPair:
+                ordering_slack: float = ORDERING_SLACK) -> FisherPair:
     """Evaluate both matrices and validate the quantum-ordering invariant.
 
     The single-point case of ``fisher_pairs``.

@@ -19,7 +19,6 @@ from .fock import (
     enumerate_basis,
     lift_unitary,
     number_operator,
-    phase_layer,
 )
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -173,17 +172,6 @@ class Interferometer:
         x = np.exp(1j * phases) * self._split_probe
         terms = np.conj(rows)[:, :, None] * self.lifted_splitter_inverse * x[:, None, :]
         return terms.reshape(len(thetas), -1).sum(axis=1)
-
-    def finite_difference_bundle(self, theta, delta=1e-5) -> DerivativeBundle:
-        """Central-difference derivative states; test oracle only."""
-        theta = self._theta(theta)
-        psi = self.output_state(theta)
-        dpsi = []
-        for l in range(self.d):
-            step = np.zeros(self.d)
-            step[l] = delta
-            dpsi.append((self.output_state(theta + step) - self.output_state(theta - step)) / (2 * delta))
-        return DerivativeBundle(theta=theta, psi=psi, dpsi=dpsi, basis=self.basis)
 
     def to_dict(self) -> dict:
         return {

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InternalInconsistencyError,
-    MixInfeasibleError,
-    WeakCommutativityError,
-)
+from .errors import InternalInconsistencyError
 from .fisher import FisherPair, ProjectorSet, fisher_pair
 from .interferometer import DerivativeBundle, Interferometer
 from .linalg import gram_schmidt_real_span
@@ -51,17 +47,9 @@ class OmegaFrame:
 
 def omega_frame(bundle: DerivativeBundle) -> OmegaFrame:
     """Orthogonalize the derivative states against the probe."""
-    omegas = []
-    for dp in bundle.dpsi:
-        overlap = np.vdot(dp, bundle.psi)
-        omegas.append(dp + bundle.psi * overlap)
-    d = len(omegas)
-    gram = np.empty((d, d), dtype=complex)
-    for l in range(d):
-        for m in range(d):
-            gram[l, m] = np.vdot(omegas[l], omegas[m])
-    frame = OmegaFrame(psi=bundle.psi, omegas=tuple(omegas), gram=gram)
-    worst = max((abs(np.vdot(bundle.psi, w)) for w in omegas), default=0.0)
+    omegas = np.array([dp + bundle.psi * np.vdot(dp, bundle.psi) for dp in bundle.dpsi])
+    frame = OmegaFrame(psi=bundle.psi, omegas=tuple(omegas), gram=omegas.conj() @ omegas.T)
+    worst = np.max(np.abs(omegas @ bundle.psi.conj()), initial=0.0)
     if worst > 1e-10:
         raise InternalInconsistencyError(
             f"omega state has probe overlap {worst:.3e}; construction is broken"
@@ -111,9 +99,12 @@ def _complete_orthonormal(columns, dim: int) -> np.ndarray:
 def _frame_and_span(model: Interferometer, theta, tolerances: Tolerances):
     bundle = model.derivative_bundle(theta).validate()
     frame = omega_frame(bundle)
+    # Zero for number-operator generators, whose <d_l psi|d_m psi> is real.
     residual = frame.weak_commutativity_residual
     if residual >= tolerances.weak_commutativity:
-        raise WeakCommutativityError(residual)
+        raise InternalInconsistencyError(
+            f"weak commutativity violated: max |Im Omega| = {residual:.3e}"
+        )
     span_vectors, coefficients = gram_schmidt_real_span(
         frame.omegas, tol=tolerances.gram_schmidt_drop
     )
@@ -136,8 +127,7 @@ def construct_orthogonal_optimal(model: Interferometer, theta,
                                  ) -> OptimalMeasurement:
     """Probe projector plus a real-coefficient orthonormal span of the omegas.
 
-    Completed to a full orthonormal measurement; raises
-    WeakCommutativityError when no projective measurement can saturate.
+    Completed to a full orthonormal measurement.
     """
     bundle, frame, span_vectors, coefficients = _frame_and_span(model, theta, tolerances)
     in_span = [bundle.psi] + span_vectors
@@ -160,8 +150,9 @@ def construct_nonorthogonal_optimal(model: Interferometer, theta, mix: float = 0
 
     The probe axis and the orthonormalized omega axes are mixed by a real
     orthogonal rotation spreading the probe uniformly; every in-span
-    vector then overlaps the probe with magnitude 1/sqrt(r + 1), which is
-    required to stay at or above mix/sqrt(d + 1).
+    vector then overlaps the probe with magnitude 1/sqrt(r + 1).  ``mix``
+    must lie in (0, 1) but does not change the result: since ``r <= d``,
+    that overlap always exceeds ``mix/sqrt(d + 1)``.
     """
     if not 0.0 < mix < 1.0:
         raise ValueError("mix must lie strictly between 0 and 1")
@@ -171,13 +162,6 @@ def construct_nonorthogonal_optimal(model: Interferometer, theta, mix: float = 0
     r_plus_1 = axes.shape[1]
     rotation = uniform_mixing_rotation(r_plus_1)
     mixed = axes @ rotation                                 # columns are in-span vectors
-
-    overlap_magnitude = 1.0 / np.sqrt(r_plus_1)
-    threshold = mix / np.sqrt(model.d + 1)
-    if overlap_magnitude < threshold:
-        raise MixInfeasibleError(
-            f"probe overlap {overlap_magnitude:.3e} below threshold {threshold:.3e}"
-        )
 
     # Expansion of each in-span vector over {omega_1..omega_d, psi}: the
     # omega rows come from the Gram-Schmidt coefficients, the last row is

@@ -1,12 +1,18 @@
 """Necessary-and-sufficient saturation tests for projective measurements.
 
-A measurement reaches the quantum bound exactly when three families of
-residuals vanish: the weak-commutativity residual of the derivative
-states, one condition per projector orthogonal to the probe (certified
-by a bound when every first-order overlap vanishes), and one condition
-per projector overlapping the probe.  Every report carries
-the directly computed spectral-norm gap as a cross check; a verdict that
-contradicts the gap raises instead of being swallowed.
+With ``a_k = <Y_k|psi>``, ``z_k = conj(<Y_k|d psi>) a^_k`` (the overlap
+record that ``fisher`` sums into the classical matrix) and
+``gamma_l = Im<d_l psi|psi>``, a complete set has
+
+    F_Q - F = 4 sum_k q_k q_k^T,   q_k = Im z_k - |a_k| gamma,
+
+so it reaches the quantum bound exactly when every ``q_k`` vanishes: the
+T2 condition for a projector overlapping the probe (``|a_k| q_k`` is its
+residual vector) and the T1 condition for one orthogonal to it.  The
+verdict is read from this deficit, and ``F_Q - F`` computed directly must
+match it at every call, else InternalInconsistencyError is raised.  Each
+projector's own T1 or T2 value and the weak-commutativity residual are
+reported alongside.
 """
 
 import json
@@ -15,8 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError, InternalInconsistencyError
-from .fisher import ProjectorSet, fisher_pair
+from .fisher import (
+    ORDERING_SLACK,
+    OverlapRecord,
+    ProjectorSet,
+    overlap_record,
+    qfim,
+    quantum_gaps,
+)
 from .interferometer import DerivativeBundle, Interferometer
+from .linalg import hermitian_eigenvalues
 from .tolerances import (
     DEFAULT_LIMIT_POLICY,
     DEFAULT_TOLERANCES,
@@ -81,28 +95,7 @@ def weak_commutativity_residual(bundle: DerivativeBundle) -> float:
     return float(np.max(np.abs(np.triu(gram.imag, 1)), initial=0.0))
 
 
-def _derivative_overlaps(bundle: DerivativeBundle, projectors: ProjectorSet) -> np.ndarray:
-    """``<Y_k|d_l psi>`` with shape (d, K)."""
-    return bundle.dpsi @ projectors.vectors.conj().T
-
-
-def _first_order_residual(damp) -> tuple:
-    """max_{l,m} |Im[<d_l psi|Y><Y|d_m psi>]| per column of a (d, n) ``damp``.
-
-    Returns the values and the flat index ``l * d + m`` of the first
-    achieving pair.
-    """
-    d, n = damp.shape
-    # Im[conj(x) y] = Re x Im y - Im x Re y, formed from separate products
-    # so that it is exactly antisymmetric and zero on the diagonal.
-    re, im = damp.real, damp.imag
-    bilinear = np.abs(re[:, None, :] * im[None, :, :] - im[:, None, :] * re[None, :, :])
-    bilinear = bilinear.reshape(d * d, n)
-    best = np.argmax(bilinear, axis=0)
-    return bilinear[best, np.arange(n)], best
-
-
-def orthogonal_condition_residuals(model: Interferometer, bundle: DerivativeBundle,
+def orthogonal_condition_residuals(bundle: DerivativeBundle,
                                    projectors: ProjectorSet, indices,
                                    policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
                                    damp=None) -> list:
@@ -115,17 +108,22 @@ def orthogonal_condition_residuals(model: Interferometer, bundle: DerivativeBund
     Im[<d_l psi|Y><Y|psi>]/|<Y|psi>| is O(delta) along any path, since
     <Y|psi> is O(delta^2) and its derivatives O(delta), and its bound
     max_l |<Y|d_l psi>| is reported with the projector flagged.  ``damp``
-    may pass the (d, K) overlaps <Y_k|d_l psi>; ``model`` is not used.
+    may pass the (d, K) overlaps <Y_k|d_l psi>.
     """
     indices = np.asarray(sorted(indices), dtype=int)
     if not indices.size:
         return []
     if damp is None:
-        damp = _derivative_overlaps(bundle, projectors)
+        damp = bundle.dpsi @ projectors.vectors.conj().T
     columns = damp[:, indices]
     magnitudes = np.abs(columns)
     bounds, strongest = np.max(magnitudes, axis=0), np.argmax(magnitudes, axis=0)
-    values, pairs = _first_order_residual(columns)
+    # Im[conj(x) y] = Re x Im y - Im x Re y, formed from separate products
+    # so that it is exactly antisymmetric and zero on the diagonal.
+    re, im = columns.real, columns.imag
+    bilinear = np.abs(re[:, None] * im[None] - im[:, None] * re[None]).reshape(-1, indices.size)
+    pairs = np.argmax(bilinear, axis=0)
+    values = bilinear[pairs, np.arange(indices.size)]
     dark = bounds < policy.derivative_floor
     rows = zip(indices.tolist(), dark.tolist(), bounds.tolist(), strongest.tolist(),
                values.tolist(), (pairs // bundle.d).tolist(), (pairs % bundle.d).tolist())
@@ -150,7 +148,7 @@ def overlap_condition_residuals(bundle: DerivativeBundle, projectors: ProjectorS
     if not indices.size:
         return []
     if damp is None:
-        damp = _derivative_overlaps(bundle, projectors)
+        damp = bundle.dpsi @ projectors.vectors.conj().T
     amp = projectors.vectors[indices].conj() @ bundle.psi
     phase_rates = (bundle.dpsi.conj() @ bundle.psi).imag
     lhs = (np.conj(damp[:, indices]) * amp).imag
@@ -241,49 +239,54 @@ class SaturationReport:
         return cls.from_dict(json.loads(text))
 
 
+def condition_deficit(bundle: DerivativeBundle, record: OverlapRecord) -> np.ndarray:
+    """``4 sum_k q_k q_k^T`` per point, (G, d, d); it equals ``F_Q - F``."""
+    gamma = (bundle.dpsi.conj() @ bundle.psi[..., None]).imag.reshape(-1, bundle.d, 1)
+    q = record.z.imag - record.magnitudes[:, None, :] * gamma
+    deficit = 4.0 * q @ np.swapaxes(q, -1, -2)
+    return 0.5 * (deficit + np.swapaxes(deficit, -1, -2))
+
+
 def check_saturation(model: Interferometer, theta, projectors: ProjectorSet,
                      tolerances: Tolerances = DEFAULT_TOLERANCES,
                      policy: LimitPolicy = DEFAULT_LIMIT_POLICY) -> SaturationReport:
-    """Classify, evaluate all condition residuals, and cross check the verdict.
+    """Classify, evaluate every condition, and decide from their deficit.
 
-    The verdict claims saturation exactly when the weak-commutativity,
-    orthogonal-projector, and overlap-projector residuals all clear
-    ``tolerances.saturation_residual``.  The spectral-norm gap is computed
-    independently; a verdict inconsistent with the gap raises
-    InternalInconsistencyError rather than being reported.
+    One bundle and one overlap record give the classical matrix and the
+    condition vectors.  The verdict claims saturation exactly when the
+    largest eigenvalue of ``condition_deficit`` is below
+    ``tolerances.saturation_gap``.  Entrywise, ``F_Q - F`` must equal the
+    deficit to ``ORDERING_SLACK * max(1, max |F_Q|)``, and it must pass the
+    quantum-ordering checks of ``fisher_pairs``; otherwise
+    InternalInconsistencyError is raised rather than a report returned.
     """
     bundle = model.derivative_bundle(theta).validate()
+    record = overlap_record(model, bundle, projectors, policy)
     classification = classify_projectors(bundle.psi, projectors,
                                          tolerances.orthogonal_overlap)
-    damp = _derivative_overlaps(bundle, projectors)
-    wc = weak_commutativity_residual(bundle)
-    t1 = orthogonal_condition_residuals(model, bundle, projectors,
-                                        classification.orthogonal, policy, damp=damp)
+    damp = record.derivatives[0]
+    t1 = orthogonal_condition_residuals(bundle, projectors, classification.orthogonal,
+                                        policy, damp=damp)
     t2 = overlap_condition_residuals(bundle, projectors,
                                      classification.non_orthogonal, damp=damp)
 
-    residuals = [wc] + [r.value for r in t1] + [r.value for r in t2]
-    all_pass = all(value < tolerances.saturation_residual for value in residuals)
-    verdict = SATURATES if all_pass else DOES_NOT_SATURATE
-
-    pair = fisher_pair(model, theta, projectors, policy)
-
-    if verdict == SATURATES and pair.gap >= tolerances.saturation_gap:
+    classical, quantum = record.fim(), qfim(bundle)[None]
+    (gap,) = quantum_gaps(classical, quantum)
+    deficit = condition_deficit(bundle, record)
+    mismatch = float(np.max(np.abs(quantum - classical - deficit)))
+    if mismatch > ORDERING_SLACK * max(1.0, np.max(np.abs(quantum))):
         raise InternalInconsistencyError(
-            f"residuals pass but gap = {pair.gap:.3e} >= {tolerances.saturation_gap:.1e}"
+            f"F_Q - F differs from 4 sum_k q_k q_k^T by {mismatch:.3e}"
         )
-    if verdict == DOES_NOT_SATURATE and pair.gap < tolerances.saturation_gap:
-        raise InternalInconsistencyError(
-            f"residuals fail but gap = {pair.gap:.3e} < {tolerances.saturation_gap:.1e}"
-        )
+    saturates = hermitian_eigenvalues(deficit[0])[-1] < tolerances.saturation_gap
 
     return SaturationReport(
         theta=bundle.theta,
         classification=classification,
-        weak_comm_residual=wc,
+        weak_comm_residual=weak_commutativity_residual(bundle),
         t1=t1,
         t2=t2,
-        verdict=verdict,
-        gap=pair.gap,
-        direction_dependent=pair.direction_dependent,
+        verdict=SATURATES if saturates else DOES_NOT_SATURATE,
+        gap=float(gap),
+        direction_dependent=record.diagnostics[0].direction_dependent,
     )

@@ -1,7 +1,8 @@
 """Central tolerance and limit-policy records.
 
-Every numerical threshold used by the package defaults to the values
-below; all entry points accept per-call overrides.
+Thresholds default to the values below; all entry points accept per-call
+overrides.  Two fixed constants live in ``fisher``: ``ORDERING_SLACK`` and
+``RELATIVE_DERIVATIVE_FLOOR``.
 """
 
 from dataclasses import dataclass
@@ -15,9 +16,8 @@ class Tolerances:
     unitary: float = 1e-10            # max |U^H U - I| accepted as unitary
     gram_schmidt_drop: float = 1e-10  # post-projection norm below which a vector is dropped
     orthogonal_overlap: float = 1e-10  # |<Y|psi>| below this counts as orthogonal to the probe
-    saturation_residual: float = 1e-8  # condition residuals below this pass
-    saturation_gap: float = 1e-6      # ||F_Q - F||_2 below this counts as saturated
-    weak_commutativity: float = 1e-8  # max |Im Omega| above this forbids saturation
+    saturation_gap: float = 1e-6      # F_Q - F (gap or condition deficit) below this saturates
+    weak_commutativity: float = 1e-8  # max |Im Omega| above this breaks the model invariant
     completeness: float = 1e-9        # entrywise |sum_k P_k - I| for complete sets
 
 

@@ -1,5 +1,6 @@
-"""Independent oracles for the classical Fisher matrix at dark outcomes.
+"""Independent oracles for derivative states and the classical Fisher matrix.
 
+``finite_difference_bundle`` differences the output state.
 ``richardson_fim`` extrapolates each below-floor outcome's term along an
 approach direction from three displaced evaluations.  ``mp_fim`` sums
 ``dP_l dP_m / P`` for photon counting at 80 significant digits, with
@@ -12,9 +13,23 @@ import math
 
 import numpy as np
 
+from multiphase import DerivativeBundle
 from multiphase.fisher import limit_directions
 
 RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)
+
+
+def finite_difference_bundle(model, theta, delta=1e-5):
+    """Derivative bundle with central-difference derivative states."""
+    theta = np.asarray(theta, dtype=float)
+    psi = model.output_state(theta)
+    dpsi = []
+    for l in range(model.d):
+        step = np.zeros(model.d)
+        step[l] = delta
+        dpsi.append((model.output_state(theta + step) - model.output_state(theta - step))
+                    / (2 * delta))
+    return DerivativeBundle(theta=theta, psi=psi, dpsi=dpsi, basis=model.basis)
 
 
 def richardson_fim(model, theta, projectors, direction, probability_floor=1e-12,

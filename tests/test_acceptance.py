@@ -104,7 +104,7 @@ def test_c05_first_order_condition_table():
     fock = ProjectorSet.fock(model.basis)
     cls = classify_projectors(bundle.psi, fock)
     residuals = {r.projector: r.value for r in
-                 orthogonal_condition_residuals(model, bundle, fock, cls.orthogonal)}
+                 orthogonal_condition_residuals(bundle, fock, cls.orthogonal)}
 
     def bilinear(state):
         y = fock.vectors[model.basis.index_of(state)]

@@ -1,4 +1,5 @@
-"""Property test: the batched Fisher evaluation equals the per-point one.
+"""Property tests: the batched Fisher evaluation equals the per-point one,
+and ``F_Q - F`` equals the saturation-condition deficit ``4 sum_k q_k q_k^T``.
 
 Random QR-unitary instruments (up to four modes, three photons and m - 1
 phases) are evaluated on grids that hold singular points: theta = 0 and
@@ -12,7 +13,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiphase import Interferometer, ProjectorSet, fisher_pair, fisher_pairs
+from multiphase import (
+    Interferometer,
+    ProjectorSet,
+    condition_deficit,
+    fisher_pair,
+    fisher_pairs,
+    overlap_record,
+    qfim,
+)
 
 
 @st.composite
@@ -49,3 +58,19 @@ def test_batched_equals_per_point(case):
         assert abs(got.gap - want.gap) <= tol
         assert (got.gap < 1e-6) == (want.gap < 1e-6)
         assert got.diagnostics == want.diagnostics
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(instruments())
+def test_deficit_identity(case):
+    model, thetas = case
+    bundle = model.derivative_bundle(thetas)
+    rng = np.random.default_rng(len(thetas) * model.basis.dim)
+    z = rng.normal(size=(model.basis.dim,) * 2) + 1j * rng.normal(size=(model.basis.dim,) * 2)
+    rotated = ProjectorSet(model.basis, np.linalg.qr(z)[0].T, complete=True)
+    for projectors in (ProjectorSet.fock(model.basis), rotated):
+        record = overlap_record(model, bundle, projectors)
+        quantum = qfim(bundle)
+        mismatch = quantum - record.fim() - condition_deficit(bundle, record)
+        scale = np.maximum(1.0, np.max(np.abs(quantum), axis=(1, 2)))
+        assert np.all(np.max(np.abs(mismatch), axis=(1, 2)) <= 1e-12 * scale)

@@ -20,6 +20,7 @@ from multiphase import (
     save_model,
 )
 from multiphase import fisher as fisher_module
+from multiphase import saturation as saturation_module
 from multiphase.cli import main
 
 
@@ -237,6 +238,28 @@ class TestCheckSaturation:
         assert report["verdict"] == "DoesNotSaturate"
         assert report["gap"] > 0
 
+    def test_deficit_mismatch_is_internal_inconsistency(self, capsys, monkeypatch):
+        # A deficit that no longer equals F_Q - F must not yield a verdict.
+        deficit = saturation_module.condition_deficit
+        monkeypatch.setattr(saturation_module, "condition_deficit",
+                            lambda bundle, record: 1.01 * deficit(bundle, record))
+        code, _, err = run(capsys, "check-saturation", "--model", "mzi4",
+                           "--theta", "0.3,1.1")
+        assert code == 6
+        assert "differs from 4 sum_k q_k q_k^T" in err
+
+    @pytest.mark.parametrize("t", [0.7, 1.9, 2.6])
+    def test_verdict_follows_the_gap_beside_the_locus(self, capsys, t):
+        # The condition values grow linearly off the mzi4 locus and the gap
+        # quadratically; the verdict reads both from one deficit.
+        for k in range(3, 13):
+            for theta2 in (t + 10.0 ** -k, t - 10.0 ** -k):
+                code, out, err = run(capsys, "check-saturation", "--model", "mzi4",
+                                     "--theta", f"{t!r},{theta2!r}")
+                assert code == 0, err
+                report = json.loads(out)
+                assert (report["verdict"] == SATURATES) == (report["gap"] < 1e-6)
+
 
 class TestConstructOptimal:
     def test_orthogonal_emits_set_and_verification(self, capsys, tmp_path):
@@ -306,13 +329,15 @@ class TestConfiguration:
         assert len(summary["saturating_cells"]) == 5
 
     def test_retired_limit_tolerance_rejected(self, capsys, tmp_path):
-        # Singular outcomes have no extrapolation left to tolerate.
+        # Singular outcomes have no extrapolation left to tolerate, and the
+        # saturation verdict reads the condition deficit against tol-gap.
         config = tmp_path / "settings.cfg"
-        config.write_text("tol-limit = 1e-6\n")
-        code, _, err = run(capsys, "compute", "--model", "mzi3",
-                           "--theta", "0,0", "--config", str(config))
-        assert code == 2
-        assert "unknown key" in err
+        for line in ("tol-limit = 1e-6", "tol-sat = 1e-8"):
+            config.write_text(line + "\n")
+            code, _, err = run(capsys, "compute", "--model", "mzi3",
+                               "--theta", "0,0", "--config", str(config))
+            assert code == 2
+            assert "unknown key" in err
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "settings.cfg"

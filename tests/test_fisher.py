@@ -295,7 +295,6 @@ class TestDarkOutcomes:
         pair = fisher_pair(model, [0.9, 0.9], ProjectorSet.fock(model.basis))
         assert pair.diagnostics.off_axis
         assert not pair.diagnostics.second_order
-        assert not pair.diagnostics.path_null
 
     def test_second_order_direction_matches_richardson(self):
         model = builtin_model("mzi4")

@@ -36,6 +36,19 @@ def test_scan_cells_beside_the_locus_crossing(mzi4):
     assert np.max(np.abs(reference - CROSSING)) <= 1e-10
 
 
+@pytest.mark.parametrize("theta", [[0.7, 0.7 + 1e-10], [1.9, 1.9 - 1e-12]])
+def test_points_just_off_the_locus(mzi4, theta):
+    # Within 1e-10 of the locus 16 or 26 outcomes are dark at theta itself,
+    # and the diagonal's first-order term there is O(epsilon): its phase is
+    # not the phase of a.  The photon-counting bound is still saturated.
+    model, fock = mzi4
+    pair = fisher_pair(model, theta, fock)
+    assert pair.diagnostics.limit_evaluated
+    reference = mp_fim(model, theta)
+    assert np.max(np.abs(pair.fim - reference)) <= 1e-9
+    assert np.max(np.abs(reference - pair.qfim)) <= 1e-9
+
+
 @pytest.mark.parametrize("t", [np.pi / 2 - 400e-6, np.pi - 135e-6])
 def test_locus_points_that_once_did_not_converge(mzi4, t):
     model, fock = mzi4

@@ -82,7 +82,7 @@ class TestOrthogonalConditionResiduals:
         fock = ProjectorSet.fock(model.basis)
         cls = classify_projectors(bundle.psi, fock)
         residuals = {r.projector: r for r in
-                     orthogonal_condition_residuals(model, bundle, fock, cls.orthogonal)}
+                     orthogonal_condition_residuals(bundle, fock, cls.orthogonal)}
         for state in ((2, 1, 0), (1, 0, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0), (0, 1, 2)):
             r = residuals[model.basis.index_of(state)]
             assert r.value == pytest.approx(C_VALUE, abs=1e-9)
@@ -111,7 +111,7 @@ class TestOrthogonalConditionResiduals:
         fock = ProjectorSet.fock(model.basis)
         cls = classify_projectors(bundle.psi, fock)
         residuals = {r.projector: r for r in
-                     orthogonal_condition_residuals(model, bundle, fock, cls.orthogonal)}
+                     orthogonal_condition_residuals(bundle, fock, cls.orthogonal)}
         for state in ((3, 0, 0), (0, 3, 0), (0, 0, 3)):
             r = residuals[model.basis.index_of(state)]
             assert r.indeterminate_first_order
@@ -122,7 +122,7 @@ class TestOrthogonalConditionResiduals:
         bundle = model.derivative_bundle([0.0, 0.0])
         fock = ProjectorSet.fock(model.basis)
         k = model.basis.index_of((3, 0, 0))
-        (r,) = orthogonal_condition_residuals(model, bundle, fock, [k])
+        (r,) = orthogonal_condition_residuals(bundle, fock, [k])
         damp = np.abs(fock.vectors[k].conj() @ bundle.dpsi.T)
         assert r.indeterminate_first_order
         assert r.value == np.max(damp) < LimitPolicy().derivative_floor
@@ -134,7 +134,7 @@ class TestOrthogonalConditionResiduals:
         bundle = model.derivative_bundle([0.4, 1.2])
         q, _ = np.linalg.qr(rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10)))
         pset = ProjectorSet(model.basis, q.T, complete=True)
-        got = orthogonal_condition_residuals(model, bundle, pset, [7, 2, 5])
+        got = orthogonal_condition_residuals(bundle, pset, [7, 2, 5])
         assert [r.projector for r in got] == [2, 5, 7]
         for r in got:
             damp = pset.vectors[r.projector].conj() @ bundle.dpsi.T
@@ -149,7 +149,7 @@ class TestOrthogonalConditionResiduals:
         bundle = model.derivative_bundle([0.0, 0.0])
         fock = ProjectorSet.fock(model.basis)
         cls = classify_projectors(bundle.psi, fock)
-        residuals = orthogonal_condition_residuals(model, bundle, fock, cls.orthogonal)
+        residuals = orthogonal_condition_residuals(bundle, fock, cls.orthogonal)
         assert max(r.value for r in residuals) < 1e-10
 
     def test_diagonal_index_pairs_are_exactly_zero(self):
