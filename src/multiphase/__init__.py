@@ -75,6 +75,6 @@ from .saturation import (
     overlap_condition_residuals,
     weak_commutativity_residual,
 )
-from .tolerances import DEFAULT_LIMIT_POLICY, DEFAULT_TOLERANCES, LimitPolicy, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "0.1.0"

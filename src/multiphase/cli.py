@@ -6,6 +6,12 @@ the verdict compares the largest eigenvalue of the condition deficit
 ``4 sum_k q_k q_k^T`` with ``tol-gap``), ``construct-optimal`` (saturating
 projector sets), ``verify-paper`` (reference-value regression table).
 
+Each subcommand accepts only the options that can change its output or
+its exit code.  Its tolerance keys (``tol-gap``, ``tol-orth``, ``tol-wc``,
+``p-floor``) are set by flags or by a ``key = value`` file (``--config``;
+flags win), and a file naming a key the subcommand does not read is
+rejected like one naming an unknown key.
+
 Exit codes: 0 ok, 1 verification failure, 2 configuration error,
 4 construction self-check failure, 6 internal inconsistency (theory and
 numerics disagree, e.g. the classical matrix exceeds the quantum bound,
@@ -30,20 +36,18 @@ from .interferometer import builtin_model, load_model, tritter, quarter
 from .linalg import spectral_norm
 from .optimal import construct_nonorthogonal_optimal, construct_orthogonal_optimal
 from .saturation import DOES_NOT_SATURATE, SATURATES, check_saturation
-from .tolerances import DEFAULT_LIMIT_POLICY, DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 _CONFIG_KEYS = {
-    "tol-gap": ("tolerances", "saturation_gap"),
-    "tol-orth": ("tolerances", "orthogonal_overlap"),
-    "tol-wc": ("tolerances", "weak_commutativity"),
-    "tol-hermitian": ("tolerances", "hermitian"),
-    "tol-unitary": ("tolerances", "unitary"),
-    "p-floor": ("policy", "probability_floor"),
+    "tol-gap": "saturation_gap",
+    "tol-orth": "orthogonal_overlap",
+    "tol-wc": "weak_commutativity",
+    "p-floor": "probability_floor",
 }
 
 
-def _parse_config_file(path) -> dict:
-    """Line-oriented ``key = value`` file; unknown keys are rejected."""
+def _parse_config_file(path, keys) -> dict:
+    """Line-oriented ``key = value`` file; keys outside ``keys`` are rejected."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -54,47 +58,42 @@ def _parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"accepted: {', '.join(keys)}")
             values[key] = float(value.strip())
     return values
 
 
-def _add_common_options(parser):
+def _add_settings(parser, keys, audit=True):
+    """The options that set the ``Tolerances`` fields this subcommand reads."""
     parser.add_argument("--config", help="key = value file with tolerance overrides")
-    for key in _CONFIG_KEYS:
+    for key in keys:
         parser.add_argument(f"--{key}", type=float, default=None,
                             help=f"override {key.replace('-', ' ')}")
     parser.add_argument("--limit-direction",
                         help="comma-separated approach direction for 0/0 limits")
-    parser.add_argument("--audit-directions", action="store_true",
-                        help="flag dark outcomes whose limit depends on the "
-                             "approach direction")
+    if audit:
+        parser.add_argument("--audit-directions", action="store_true",
+                            help="flag dark outcomes whose limit depends on the "
+                                 "approach direction")
     parser.add_argument("--out", help="write the primary output to this path")
+    parser.set_defaults(config_keys=keys, audit_directions=False)
 
 
-def _settings(args):
-    """Tolerances and limit policy after config file and flag overrides."""
-    overrides = _parse_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
+def _settings(args) -> Tolerances:
+    """The tolerances after config file and flag overrides."""
+    overrides = _parse_config_file(args.config, args.config_keys) if args.config else {}
+    for key in args.config_keys:
         flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
             overrides[key] = flag
-
-    tol_fields, policy_fields = {}, {}
-    for key, value in overrides.items():
-        target, name = _CONFIG_KEYS[key]
-        (tol_fields if target == "tolerances" else policy_fields)[name] = value
+    fields = {_CONFIG_KEYS[key]: value for key, value in overrides.items()}
     if args.limit_direction:
-        policy_fields["direction"] = tuple(
-            float(x) for x in args.limit_direction.split(",")
-        )
+        fields["direction"] = tuple(float(x) for x in args.limit_direction.split(","))
     if args.audit_directions:
-        policy_fields["audit_directions"] = True
-
-    tolerances = dataclasses.replace(DEFAULT_TOLERANCES, **tol_fields)
-    policy = dataclasses.replace(DEFAULT_LIMIT_POLICY, **policy_fields)
-    return tolerances, policy
+        fields["audit_directions"] = True
+    return dataclasses.replace(DEFAULT_TOLERANCES, **fields)
 
 
 def _resolve_model(source):
@@ -143,17 +142,17 @@ def _pair_payload(pair) -> dict:
         "fim": [[float(x) for x in row] for row in pair.fim],
         "qfim": [[float(x) for x in row] for row in pair.qfim],
         "gap": pair.gap,
-        "singular_outcomes": list(pair.singular_outcomes),
-        "direction_dependent": pair.direction_dependent,
+        "singular_outcomes": list(pair.diagnostics.singular_outcomes),
+        "direction_dependent": pair.diagnostics.direction_dependent,
     }
 
 
 def cmd_compute(args) -> int:
-    _, policy = _settings(args)
+    tolerances = _settings(args)
     model = _resolve_model(args.model)
     theta = _parse_theta(args.theta, model.d)
     projectors = _resolve_projectors(args.projectors, model)
-    pair = fisher_pair(model, theta, projectors, policy)
+    pair = fisher_pair(model, theta, projectors, tolerances)
     print(f"theta = {np.array2string(theta, precision=6)}")
     print(f"fim   =\n{np.array2string(pair.fim, precision=10)}")
     print(f"qfim  =\n{np.array2string(pair.qfim, precision=10)}")
@@ -172,7 +171,7 @@ def _upper_triangle(matrix):
 
 
 def cmd_scan(args) -> int:
-    tolerances, policy = _settings(args)
+    tolerances = _settings(args)
     model = _resolve_model(args.model)
     sweep = tuple(int(x) for x in args.phases.split(","))
     if len(sweep) != 2 or len(set(sweep)) != 2:
@@ -182,6 +181,8 @@ def cmd_scan(args) -> int:
     resolutions = [int(x) for x in args.resolution.split(",")]
     if len(resolutions) == 1:
         resolutions *= 2
+    if len(resolutions) != 2:
+        raise ValueError("resolution takes one or two cell counts")
     if any(r < 2 for r in resolutions):
         raise ValueError("resolution must be at least 2 per axis")
     ranges = []
@@ -195,14 +196,18 @@ def cmd_scan(args) -> int:
     if args.fixed:
         for item in args.fixed.split(","):
             index, _, value = item.partition("=")
-            fixed[int(index)] = float(value)
+            index = int(index)
+            if not 0 <= index < model.d or index in sweep:
+                raise ValueError(f"--fixed index {index} is not an unswept phase of "
+                                 f"d = {model.d}")
+            fixed[index] = float(value)
 
     axis1 = ranges[0][0] + (ranges[0][1] - ranges[0][0]) * np.arange(resolutions[0]) / resolutions[0]
     axis2 = ranges[1][0] + (ranges[1][1] - ranges[1][0]) * np.arange(resolutions[1]) / resolutions[1]
     thetas = np.tile(fixed, (resolutions[0] * resolutions[1], 1))
     thetas[:, sweep[0]] = np.repeat(axis1, resolutions[1])
     thetas[:, sweep[1]] = np.tile(axis2, resolutions[0])
-    pairs = fisher_pairs(model, thetas, ProjectorSet.fock(model.basis), policy)
+    pairs = fisher_pairs(model, thetas, ProjectorSet.fock(model.basis), tolerances)
 
     d = model.d
     header = (["theta1", "theta2", "gap", "verdict"]
@@ -217,7 +222,7 @@ def cmd_scan(args) -> int:
         saturates = pair.gap < tolerances.saturation_gap
         if saturates:
             saturating.append(cell)
-        if pair.direction_dependent:
+        if pair.diagnostics.direction_dependent:
             direction_dependent.append(cell)
         rows.append([_fmt(theta1), _fmt(theta2), _fmt(pair.gap),
                      SATURATES if saturates else DOES_NOT_SATURATE]
@@ -253,26 +258,25 @@ def cmd_scan(args) -> int:
 
 
 def cmd_check_saturation(args) -> int:
-    tolerances, policy = _settings(args)
+    tolerances = _settings(args)
     model = _resolve_model(args.model)
     theta = _parse_theta(args.theta, model.d)
     projectors = _resolve_projectors(args.projectors, model)
-    report = check_saturation(model, theta, projectors, tolerances, policy)
+    report = check_saturation(model, theta, projectors, tolerances)
     _emit(report.to_json(indent=2), args.out)
     return 0
 
 
 def cmd_construct_optimal(args) -> int:
-    tolerances, policy = _settings(args)
+    tolerances = _settings(args)
     model = _resolve_model(args.model)
     theta = _parse_theta(args.theta, model.d)
     try:
         if args.variant == "orthogonal":
-            built = construct_orthogonal_optimal(model, theta, policy, tolerances)
+            built = construct_orthogonal_optimal(model, theta, tolerances)
         else:
-            built = construct_nonorthogonal_optimal(model, theta, args.mix,
-                                                    policy, tolerances)
-        report = check_saturation(model, theta, built.projectors, tolerances, policy)
+            built = construct_nonorthogonal_optimal(model, theta, tolerances=tolerances)
+        report = check_saturation(model, theta, built.projectors, tolerances)
         if report.verdict != SATURATES:
             raise InternalInconsistencyError(
                 f"constructed set verdict is {report.verdict}"
@@ -453,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="mzi3, mzi4 or a model JSON file")
     p.add_argument("--theta", required=True, help="comma-separated phases in radians")
     p.add_argument("--projectors", default="fock", help="'fock' or a projector JSON file")
-    _add_common_options(p)
+    _add_settings(p, ("p-floor",))
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("scan", help="two-phase grid sweep")
@@ -464,14 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", default="101,101", help="cells per axis")
     p.add_argument("--fixed", help="values for unswept phases, e.g. '2=0.5,3=1.0'")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common_options(p)
+    _add_settings(p, ("tol-gap", "p-floor"))
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check-saturation", help="saturation condition report")
     p.add_argument("--model", required=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--projectors", default="fock")
-    _add_common_options(p)
+    _add_settings(p, ("tol-gap", "tol-orth", "p-floor"))
     p.set_defaults(func=cmd_check_saturation)
 
     p = sub.add_parser("construct-optimal", help="build a saturating projector set")
@@ -479,15 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True)
     p.add_argument("--variant", choices=("orthogonal", "nonorthogonal"),
                    default="orthogonal")
-    p.add_argument("--mix", type=float, default=0.5,
-                   help="probe admixture for the nonorthogonal variant, in (0, 1); "
-                        "does not change the result")
-    _add_common_options(p)
+    _add_settings(p, ("tol-gap", "tol-wc", "p-floor"), audit=False)
     p.set_defaults(func=cmd_construct_optimal)
 
     p = sub.add_parser("verify-paper", help="run the reference-value checks")
     p.add_argument("--only", help="run a single check by id")
-    _add_common_options(p)
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

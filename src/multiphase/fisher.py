@@ -10,6 +10,10 @@ order, else ``u^T H u`` with ``H_lm = <Y_k|d_l d_m psi>``, tried along each
 of ``limit_directions`` in turn.  Outcomes whose first-order overlaps all
 vanish contribute zero.  ``overlap_record`` forms ``z = conj(da) a^`` once
 for the classical matrix and for the saturation conditions.
+
+Every evaluation takes one ``Tolerances`` record: its probability floor,
+approach direction and audit flag.  The fixed floors and the ordering slack
+are the constants of ``tolerances``.
 """
 
 import json
@@ -27,7 +31,18 @@ from .errors import (
 from .fock import FockBasis, enumerate_basis
 from .interferometer import DerivativeBundle, Interferometer
 from .linalg import hermitian_eigenvalues, spectral_norm
-from .tolerances import DEFAULT_LIMIT_POLICY, DEFAULT_TOLERANCES, LimitPolicy
+from .tolerances import (
+    AMPLITUDE_FLOOR,
+    AUDIT_SPREAD,
+    COMPLETENESS,
+    DEFAULT_TOLERANCES,
+    DERIVATIVE_FLOOR,
+    OCCUPATION_MATCH,
+    ORDERING_SLACK,
+    PROJECTOR_NORM,
+    RELATIVE_DERIVATIVE_FLOOR,
+    Tolerances,
+)
 
 
 class ProjectorSet:
@@ -38,8 +53,7 @@ class ProjectorSet:
     construction.
     """
 
-    def __init__(self, basis: FockBasis, vectors, complete: bool,
-                 tol=DEFAULT_TOLERANCES):
+    def __init__(self, basis: FockBasis, vectors, complete: bool):
         vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
         if vectors.shape[1] != basis.dim:
             raise BasisMismatchError(
@@ -47,12 +61,12 @@ class ProjectorSet:
             )
         norms = np.linalg.norm(vectors, axis=1)
         worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-        if worst > 1e-10:
+        if worst > PROJECTOR_NORM:
             raise ValueError(f"projector normalization off by {worst:.3e}")
         if complete:
             resolution = vectors.T @ vectors.conj()
             deviation = float(np.max(np.abs(resolution - np.eye(basis.dim))))
-            if deviation > tol.completeness:
+            if deviation > COMPLETENESS:
                 raise IncompleteSetError(
                     f"sum_k |Y_k><Y_k| deviates from identity by {deviation:.3e}"
                 )
@@ -73,7 +87,7 @@ class ProjectorSet:
         target = self.basis.index_of(occupation)
         column = np.abs(self.vectors[:, target])
         k = int(np.argmax(column))
-        if abs(column[k] - 1.0) > 1e-10:
+        if abs(column[k] - 1.0) > OCCUPATION_MATCH:
             raise ValueError(f"no projector equals occupation {tuple(occupation)}")
         return k
 
@@ -159,7 +173,7 @@ class OverlapRecord:
 
 
 def limit_directions(d: int, primary) -> list:
-    """Approach directions tried per dark outcome, the policy direction first.
+    """Approach directions tried per dark outcome, the primary direction first.
 
     An outcome whose amplitude vanishes to second order along the primary
     direction (it lies inside the singular locus) is probed along a fixed
@@ -179,26 +193,21 @@ def limit_directions(d: int, primary) -> list:
     return directions
 
 
-# Leading-term candidates below this fraction of |da| vanish: just off a dark
-# set they are O(distance) and do not carry the phase of a.
-RELATIVE_DERIVATIVE_FLOOR = 1e-6
-
-
-def _dark_phases(model, thetas, projectors, da, points, outcomes, policy):
+def _dark_phases(model, thetas, projectors, da, points, outcomes, direction):
     """Limit phases ``a^`` of dark (point, outcome) pairs.
 
-    ``da`` holds the pairs' (n, d) first-order overlaps.  Along each
-    direction ``u`` in turn, ``a(theta + delta u)`` leads with
-    ``delta u.da``, else with ``delta^2 u^T H u / 2``; the first term above
-    ``max(policy.derivative_floor, RELATIVE_DERIVATIVE_FLOOR * |da|)``
+    ``da`` holds the pairs' (n, d) first-order overlaps.  Along ``direction``
+    and then each fallback of ``limit_directions`` in turn,
+    ``a(theta + delta u)`` leads with ``delta u.da``, else with
+    ``delta^2 u^T H u / 2``; the first term above
+    ``max(DERIVATIVE_FLOOR, RELATIVE_DERIVATIVE_FLOOR * |da|)``
     gives the phase.  The sign of ``delta`` does not matter, as the term
     is quadratic in ``a^``.  Some axis always clears the floor, because a
     dark outcome's largest overlap does.  Returns the phases and, per
     pair, ``2 * direction index + order - 1``.
     """
-    d = da.shape[1]
-    directions = np.array(limit_directions(d, policy.unit_direction(d)))
-    floor = np.maximum(policy.derivative_floor,
+    directions = np.array(limit_directions(da.shape[1], direction))
+    floor = np.maximum(DERIVATIVE_FLOOR,
                        RELATIVE_DERIVATIVE_FLOOR * np.linalg.norm(da, axis=1))
     first = da @ directions.T
     second = np.zeros_like(first)
@@ -217,21 +226,21 @@ def _dark_phases(model, thetas, projectors, da, points, outcomes, policy):
 
 
 def fim(model: Interferometer, theta, projectors: ProjectorSet,
-        policy: LimitPolicy = DEFAULT_LIMIT_POLICY):
+        tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Classical Fisher information matrix and singular-outcome diagnostics."""
     bundle = model.derivative_bundle(theta).validate()
-    return fim_from_bundle(model, bundle, projectors, policy)
+    return fim_from_bundle(model, bundle, projectors, tolerances)
 
 
 def fim_from_bundle(model: Interferometer, bundle: DerivativeBundle,
                     projectors: ProjectorSet,
-                    policy: LimitPolicy = DEFAULT_LIMIT_POLICY):
+                    tolerances: Tolerances = DEFAULT_TOLERANCES):
     """As ``fim`` but reusing an already-evaluated derivative bundle.
 
     A batched bundle gives a (G, d, d) stack and a list of G diagnostics.
     Every outcome of every point enters one product of scores.
     """
-    record = overlap_record(model, bundle, projectors, policy)
+    record = overlap_record(model, bundle, projectors, tolerances)
     if bundle.batched:
         return record.fim(), record.diagnostics
     return record.fim()[0], record.diagnostics[0]
@@ -239,11 +248,12 @@ def fim_from_bundle(model: Interferometer, bundle: DerivativeBundle,
 
 def overlap_record(model: Interferometer, bundle: DerivativeBundle,
                    projectors: ProjectorSet,
-                   policy: LimitPolicy = DEFAULT_LIMIT_POLICY) -> OverlapRecord:
+                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> OverlapRecord:
     """Overlaps of a complete set with a bundle, stacked as G points.
 
     A single-point bundle gives G = 1.  ``a^`` is ``a/|a|``, or the
-    closed-form limit phase at a dark outcome.
+    closed-form limit phase at a dark outcome.  The approach direction is
+    validated at every call, dark outcomes or not.
     """
     if projectors.basis != bundle.basis:
         raise BasisMismatchError("bundle and projector set use different bases")
@@ -251,37 +261,41 @@ def overlap_record(model: Interferometer, bundle: DerivativeBundle,
         raise IncompleteSetError("the Fisher matrix requires a complete set")
 
     d = bundle.d
+    direction = tolerances.unit_direction(d)
     rows = projectors.vectors.conj().T
     thetas = bundle.theta.reshape(-1, d)
     amp = (bundle.psi @ rows).reshape(len(thetas), len(projectors))          # <Y_k|psi>
     damp = (bundle.dpsi @ rows).reshape(len(thetas), d, len(projectors))     # <Y_k|d_l psi>
     magnitude = np.abs(amp)
     # Dark outcomes are singular even under a zero probability floor.
-    singular = ((magnitude ** 2 < policy.probability_floor)
-                | (magnitude <= policy.amplitude_floor))
+    singular = ((magnitude ** 2 < tolerances.probability_floor)
+                | (magnitude <= AMPLITUDE_FLOOR))
     diagnostics = [FimDiagnostics() for _ in range(len(thetas))]
     if singular.any():
-        phase, magnitude = _singular_phases(model, thetas, projectors, amp, damp,
-                                            singular, policy, diagnostics)
+        phase, magnitude = _singular_phases(model, thetas, projectors, amp, damp, singular,
+                                            direction, tolerances.audit_directions,
+                                            diagnostics)
     else:
         phase = amp / magnitude
     return OverlapRecord(magnitudes=magnitude, derivatives=damp,
                          z=np.conj(damp) * phase[:, None, :], diagnostics=diagnostics)
 
 
-def _singular_phases(model, thetas, projectors, amp, damp, singular, policy,
+def _singular_phases(model, thetas, projectors, amp, damp, singular, direction, audit,
                      diagnostics) -> tuple:
     """Phases ``a^`` and magnitudes of all outcomes when some are singular.
 
     Singular outcomes whose first-order overlaps all vanish get phase 0, a
-    zero term.  Near-dark amplitudes (above ``policy.amplitude_floor``) are
+    zero term.  Near-dark amplitudes (above ``AMPLITUDE_FLOOR``) are
     recomputed by ``model.amplitudes``, whose rounding, amplified by
     ``1/|a|`` in ``a^``, does not depend on the batch.  Dark ones take the
-    phase of their limit from ``_dark_phases``.  Fills ``diagnostics``.
+    phase of their limit along ``direction`` from ``_dark_phases``.  With
+    ``audit``, points with a direction-dependent dark limit are flagged.
+    Fills ``diagnostics``.
     """
     magnitude = np.abs(amp)
-    shortcut = singular & (np.max(np.abs(damp), axis=1) < policy.derivative_floor)
-    dark = (magnitude <= policy.amplitude_floor) & ~shortcut
+    shortcut = singular & (np.max(np.abs(damp), axis=1) < DERIVATIVE_FLOOR)
+    dark = (magnitude <= AMPLITUDE_FLOOR) & ~shortcut
     near = singular & ~shortcut & ~dark
     if near.any():
         g, k = np.nonzero(near)
@@ -292,15 +306,15 @@ def _singular_phases(model, thetas, projectors, amp, damp, singular, policy,
     g, k = np.nonzero(dark)
     if g.size:
         phase[g, k], choice[g, k] = _dark_phases(model, thetas, projectors,
-                                                 damp[g, :, k], g, k, policy)
+                                                 damp[g, :, k], g, k, direction)
 
     flagged = np.zeros(len(thetas), dtype=bool)
-    if policy.audit_directions and damp.shape[1] > 1:
+    if audit and damp.shape[1] > 1:
         # The limit at a dark outcome is direction independent exactly when
         # Im[conj(da_l) da_m] vanishes, the first-order (T1) condition.
         da = damp[g, :, k]
         t1 = np.abs((np.conj(da)[:, :, None] * da[:, None, :]).imag).max(axis=(1, 2))
-        flagged[g[t1 > policy.audit_spread]] = True
+        flagged[g[t1 > AUDIT_SPREAD]] = True
     masks = (singular, shortcut, singular & ~shortcut,
              dark & (choice % 2 == 1), dark & (choice >= 2))   # in field order
     for g in np.flatnonzero(singular.any(axis=1)):
@@ -342,15 +356,10 @@ class FisherPair:
     fim: np.ndarray
     qfim: np.ndarray
     gap: float
-    singular_outcomes: tuple
-    direction_dependent: bool
     diagnostics: FimDiagnostics
 
 
-ORDERING_SLACK = 1e-8   # roundoff allowed in the checks of F against F_Q
-
-
-def quantum_gaps(classical, quantum, ordering_slack: float = ORDERING_SLACK) -> np.ndarray:
+def quantum_gaps(classical, quantum) -> np.ndarray:
     """Gaps ``||F_Q - F||_2`` of (G, d, d) stacks, after the ordering checks.
 
     Raises InternalInconsistencyError at the first point where ``F <= F_Q``
@@ -358,14 +367,14 @@ def quantum_gaps(classical, quantum, ordering_slack: float = ORDERING_SLACK) -> 
     """
     eigenvalues = hermitian_eigenvalues(quantum - classical)
     smallest = np.min(eigenvalues, axis=-1)
-    bad = np.flatnonzero(smallest < -ordering_slack)
+    bad = np.flatnonzero(smallest < -ORDERING_SLACK)
     if bad.size:
         raise InternalInconsistencyError(
             "classical matrix exceeds the quantum bound: "
             f"min eig(F_Q - F) = {smallest[bad[0]]:.3e}"
         )
     gaps = np.max(np.abs(eigenvalues), axis=-1)
-    bad = np.flatnonzero(gaps > spectral_norm(quantum) + ordering_slack)
+    bad = np.flatnonzero(gaps > spectral_norm(quantum) + ORDERING_SLACK)
     if bad.size:
         raise InternalInconsistencyError(
             f"gap {gaps[bad[0]]:.3e} exceeds ||F_Q||_2; matrices are inconsistent"
@@ -374,8 +383,7 @@ def quantum_gaps(classical, quantum, ordering_slack: float = ORDERING_SLACK) -> 
 
 
 def fisher_pairs(model: Interferometer, thetas, projectors: ProjectorSet,
-                 policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
-                 ordering_slack: float = ORDERING_SLACK) -> list:
+                 tolerances: Tolerances = DEFAULT_TOLERANCES) -> list:
     """``fisher_pair`` at each row of a (G, d) array of working points.
 
     The points are evaluated as one batch: one bundle, one product of
@@ -389,26 +397,18 @@ def fisher_pairs(model: Interferometer, thetas, projectors: ProjectorSet,
     if thetas.ndim != 2:
         raise DimensionMismatchError(f"expected a (G, d) array, got shape {thetas.shape}")
     bundle = model.derivative_bundle(thetas).validate()
-    classical, diagnostics = fim_from_bundle(model, bundle, projectors, policy)
+    classical, diagnostics = fim_from_bundle(model, bundle, projectors, tolerances)
     quantum = qfim(bundle)
-    gaps = quantum_gaps(classical, quantum, ordering_slack)
+    gaps = quantum_gaps(classical, quantum)
     return [
-        FisherPair(
-            theta=bundle.theta[g],
-            fim=classical[g],
-            qfim=quantum[g],
-            gap=float(gaps[g]),
-            singular_outcomes=tuple(diagnostics[g].singular_outcomes),
-            direction_dependent=diagnostics[g].direction_dependent,
-            diagnostics=diagnostics[g],
-        )
+        FisherPair(theta=bundle.theta[g], fim=classical[g], qfim=quantum[g],
+                   gap=float(gaps[g]), diagnostics=diagnostics[g])
         for g in range(len(thetas))
     ]
 
 
 def fisher_pair(model: Interferometer, theta, projectors: ProjectorSet,
-                policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
-                ordering_slack: float = ORDERING_SLACK) -> FisherPair:
+                tolerances: Tolerances = DEFAULT_TOLERANCES) -> FisherPair:
     """Evaluate both matrices and validate the quantum-ordering invariant.
 
     The single-point case of ``fisher_pairs``.
@@ -416,4 +416,4 @@ def fisher_pair(model: Interferometer, theta, projectors: ProjectorSet,
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.ndim != 1:
         raise DimensionMismatchError(f"expected {model.d} phases, got shape {theta.shape}")
-    return fisher_pairs(model, theta[None, :], projectors, policy, ordering_slack)[0]
+    return fisher_pairs(model, theta[None, :], projectors, tolerances)[0]

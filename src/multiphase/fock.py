@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotUnitaryError, SizeOverflowError
 from .linalg import permanent
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import UNITARY
 
 # Factorials fit exactly in float64 up to 20!; desk-scale photon numbers stay far below.
 _FACTORIALS = [float(factorial(k)) for k in range(21)]
@@ -82,7 +82,7 @@ def enumerate_basis(photons: int, modes: int, max_dim: int = 10**6) -> FockBasis
     return FockBasis(modes=modes, photons=photons, states=tuple(states), index=index)
 
 
-def lift_unitary(unitary, basis: FockBasis, tol=DEFAULT_TOLERANCES.unitary) -> np.ndarray:
+def lift_unitary(unitary, basis: FockBasis) -> np.ndarray:
     """Lift an m-mode unitary to the fixed-photon-number Fock space.
 
     The lifted entry from occupation S to occupation T is
@@ -95,8 +95,8 @@ def lift_unitary(unitary, basis: FockBasis, tol=DEFAULT_TOLERANCES.unitary) -> n
             f"unitary shape {u.shape} does not match {basis.modes} modes"
         )
     deviation = np.max(np.abs(u.conj().T @ u - np.eye(basis.modes)))
-    if deviation > tol:
-        raise NotUnitaryError(f"max |U^H U - I| = {deviation:.3e} exceeds {tol:.1e}")
+    if deviation > UNITARY:
+        raise NotUnitaryError(f"max |U^H U - I| = {deviation:.3e} exceeds {UNITARY:.1e}")
 
     row_indices = [np.repeat(np.arange(basis.modes), occ) for occ in basis.states]
     norms = np.array([sqrt_factorial_product(occ) for occ in basis.states])

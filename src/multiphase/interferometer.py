@@ -20,7 +20,7 @@ from .fock import (
     lift_unitary,
     number_operator,
 )
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import STATE_NORM
 
 
 def tritter() -> np.ndarray:
@@ -63,14 +63,14 @@ class DerivativeBundle:
     def batched(self) -> bool:
         return self.psi.ndim == 2
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         """Check the norm and ``Re<d_l psi|psi> = 0`` at every point."""
         norm_error = np.abs(np.sum(np.abs(self.psi) ** 2, axis=-1) - 1.0)
         worst = np.max(norm_error, initial=0.0)
-        if worst > tol:
+        if worst > STATE_NORM:
             raise InternalInconsistencyError(f"|psi| deviates from 1 by {worst:.3e}")
         overlaps = (self.dpsi.conj() @ self.psi[..., None])[..., 0].real
-        bad = np.abs(overlaps) > tol
+        bad = np.abs(overlaps) > STATE_NORM
         if bad.any():
             index = np.unravel_index(np.argmax(bad), bad.shape)
             raise InternalInconsistencyError(
@@ -87,7 +87,7 @@ class Interferometer:
     a Fock probe, with e^{+i theta_l} acting on ``phase_modes[l]``.
     """
 
-    def __init__(self, splitter, phase_modes, probe, tol=DEFAULT_TOLERANCES.unitary):
+    def __init__(self, splitter, phase_modes, probe):
         splitter = np.asarray(splitter, dtype=complex)
         modes = splitter.shape[0]
         if splitter.shape != (modes, modes):
@@ -108,7 +108,7 @@ class Interferometer:
         self.phase_modes = phase_modes
         self.probe = probe
         self.basis = enumerate_basis(sum(probe), modes)
-        self.lifted_splitter = lift_unitary(splitter, self.basis, tol=tol)
+        self.lifted_splitter = lift_unitary(splitter, self.basis)
         self.lifted_splitter_inverse = self.lifted_splitter.conj().T
         self._split_probe = self.lifted_splitter @ basis_state(self.basis, probe)
         self._phase_occupations = np.column_stack(
@@ -125,6 +125,8 @@ class Interferometer:
             raise DimensionMismatchError(
                 f"expected {self.d} phases, got shape {theta.shape}"
             )
+        if not np.isfinite(theta).all():
+            raise ValueError("phases must be finite")
         return theta
 
     def output_state(self, theta) -> np.ndarray:

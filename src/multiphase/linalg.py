@@ -3,31 +3,31 @@
 import numpy as np
 
 from .errors import ComplexGramError, NotHermitianError, NotSquareError
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import GRAM_SCHMIDT_DROP, HERMITIAN
 
 
-def hermitian_eigenvalues(matrix, tol=DEFAULT_TOLERANCES.hermitian):
+def hermitian_eigenvalues(matrix):
     """Eigenvalues of a Hermitian (or real symmetric) matrix, ascending.
 
     ``matrix`` may be a stack of shape (..., n, n); the eigenvalues then
     have shape (..., n).  Raises NotHermitianError if any matrix deviates
-    from its conjugate transpose by more than ``tol`` in any entry.
+    from its conjugate transpose by more than ``HERMITIAN`` in any entry.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
     deviation = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) if m.size else 0.0
-    if deviation > tol:
-        raise NotHermitianError(f"max |M - M^H| = {deviation:.3e} exceeds {tol:.1e}")
+    if deviation > HERMITIAN:
+        raise NotHermitianError(f"max |M - M^H| = {deviation:.3e} exceeds {HERMITIAN:.1e}")
     return np.linalg.eigvalsh(m)
 
 
-def spectral_norm(matrix, tol=DEFAULT_TOLERANCES.hermitian):
+def spectral_norm(matrix):
     """Largest-magnitude eigenvalue of a Hermitian matrix (its 2-norm).
 
     A stack of shape (..., n, n) gives an array of shape (...).
     """
-    eigenvalues = np.abs(hermitian_eigenvalues(matrix, tol=tol))
+    eigenvalues = np.abs(hermitian_eigenvalues(matrix))
     if eigenvalues.ndim > 1:
         return np.max(eigenvalues, axis=-1, initial=0.0)
     return float(np.max(eigenvalues, initial=0.0))
@@ -89,13 +89,14 @@ def permanent(matrix):
     return complex(total)
 
 
-def gram_schmidt_real_span(vectors, tol=DEFAULT_TOLERANCES.gram_schmidt_drop):
+def gram_schmidt_real_span(vectors):
     """Orthonormalize complex vectors using only real combination coefficients.
 
-    The inputs must have a real Gram matrix (checked within ``tol``);
-    otherwise no real-coefficient orthonormal basis of their span exists
-    and ComplexGramError is raised.  Linearly dependent inputs (post-
-    projection norm below ``tol``) are dropped.
+    The inputs must have a real Gram matrix (checked within
+    ``GRAM_SCHMIDT_DROP``); otherwise no real-coefficient orthonormal basis
+    of their span exists and ComplexGramError is raised.  Linearly
+    dependent inputs (post-projection norm below ``GRAM_SCHMIDT_DROP``)
+    are dropped.
 
     Uses the modified Gram-Schmidt recurrence with a second
     re-orthogonalization pass for stability.
@@ -116,9 +117,10 @@ def gram_schmidt_real_span(vectors, tol=DEFAULT_TOLERANCES.gram_schmidt_drop):
 
     gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
     worst = float(np.max(np.abs(gram.imag))) if gram.size else 0.0
-    if worst > tol:
+    if worst > GRAM_SCHMIDT_DROP:
         raise ComplexGramError(
-            f"Gram matrix has |Im| = {worst:.3e} > {tol:.1e}; real-coefficient span impossible"
+            f"Gram matrix has |Im| = {worst:.3e} > {GRAM_SCHMIDT_DROP:.1e}; "
+            "real-coefficient span impossible"
         )
 
     outputs = []
@@ -134,7 +136,7 @@ def gram_schmidt_real_span(vectors, tol=DEFAULT_TOLERANCES.gram_schmidt_drop):
                 w = w - overlap * u
                 coeff = coeff - overlap * cu
         norm = np.linalg.norm(w)
-        if norm < tol:
+        if norm < GRAM_SCHMIDT_DROP:
             continue
         outputs.append(w / norm)
         coefficient_columns.append(coeff / norm)

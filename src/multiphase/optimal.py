@@ -20,9 +20,9 @@ from .fisher import FisherPair, ProjectorSet, fisher_pair
 from .interferometer import DerivativeBundle, Interferometer
 from .linalg import gram_schmidt_real_span
 from .tolerances import (
-    DEFAULT_LIMIT_POLICY,
+    CONSTRUCTION_GAP,
     DEFAULT_TOLERANCES,
-    LimitPolicy,
+    OMEGA_ORTHOGONALITY,
     Tolerances,
 )
 
@@ -50,7 +50,7 @@ def omega_frame(bundle: DerivativeBundle) -> OmegaFrame:
     omegas = np.array([dp + bundle.psi * np.vdot(dp, bundle.psi) for dp in bundle.dpsi])
     frame = OmegaFrame(psi=bundle.psi, omegas=tuple(omegas), gram=omegas.conj() @ omegas.T)
     worst = np.max(np.abs(omegas @ bundle.psi.conj()), initial=0.0)
-    if worst > 1e-10:
+    if worst > OMEGA_ORTHOGONALITY:
         raise InternalInconsistencyError(
             f"omega state has probe overlap {worst:.3e}; construction is broken"
         )
@@ -105,16 +105,14 @@ def _frame_and_span(model: Interferometer, theta, tolerances: Tolerances):
         raise InternalInconsistencyError(
             f"weak commutativity violated: max |Im Omega| = {residual:.3e}"
         )
-    span_vectors, coefficients = gram_schmidt_real_span(
-        frame.omegas, tol=tolerances.gram_schmidt_drop
-    )
+    span_vectors, coefficients = gram_schmidt_real_span(frame.omegas)
     return bundle, frame, span_vectors, coefficients
 
 
-def _verified(model, theta, vectors, policy, gap_tol=1e-8) -> tuple:
+def _verified(model, theta, vectors, tolerances) -> tuple:
     pset = ProjectorSet(model.basis, vectors, complete=True)
-    pair = fisher_pair(model, theta, pset, policy)
-    if pair.gap > gap_tol:
+    pair = fisher_pair(model, theta, pset, tolerances)
+    if pair.gap > CONSTRUCTION_GAP:
         raise InternalInconsistencyError(
             f"constructed set misses the quantum bound: gap = {pair.gap:.3e}"
         )
@@ -122,7 +120,6 @@ def _verified(model, theta, vectors, policy, gap_tol=1e-8) -> tuple:
 
 
 def construct_orthogonal_optimal(model: Interferometer, theta,
-                                 policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
                                  tolerances: Tolerances = DEFAULT_TOLERANCES
                                  ) -> OptimalMeasurement:
     """Probe projector plus a real-coefficient orthonormal span of the omegas.
@@ -133,7 +130,7 @@ def construct_orthogonal_optimal(model: Interferometer, theta,
     in_span = [bundle.psi] + span_vectors
     completion = _complete_orthonormal(in_span, model.basis.dim)
     vectors = np.vstack([np.array(in_span), completion.T])
-    pset, pair = _verified(model, theta, vectors, policy)
+    pset, pair = _verified(model, theta, vectors, tolerances)
     return OptimalMeasurement(
         projectors=pset,
         coefficients=coefficients,
@@ -143,7 +140,6 @@ def construct_orthogonal_optimal(model: Interferometer, theta,
 
 
 def construct_nonorthogonal_optimal(model: Interferometer, theta, mix: float = 0.5,
-                                    policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
                                     tolerances: Tolerances = DEFAULT_TOLERANCES
                                     ) -> OptimalMeasurement:
     """In-span basis in which every vector keeps a nonzero probe overlap.
@@ -174,7 +170,7 @@ def construct_nonorthogonal_optimal(model: Interferometer, theta, mix: float = 0
 
     completion = _complete_orthonormal(list(mixed.T), model.basis.dim)
     vectors = np.vstack([mixed.T, completion.T])
-    pset, pair = _verified(model, theta, vectors, policy)
+    pset, pair = _verified(model, theta, vectors, tolerances)
     return OptimalMeasurement(
         projectors=pset,
         coefficients=coefficients,

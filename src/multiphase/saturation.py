@@ -21,22 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError, InternalInconsistencyError
-from .fisher import (
-    ORDERING_SLACK,
-    OverlapRecord,
-    ProjectorSet,
-    overlap_record,
-    qfim,
-    quantum_gaps,
-)
+from .fisher import OverlapRecord, ProjectorSet, overlap_record, qfim, quantum_gaps
 from .interferometer import DerivativeBundle, Interferometer
 from .linalg import hermitian_eigenvalues
-from .tolerances import (
-    DEFAULT_LIMIT_POLICY,
-    DEFAULT_TOLERANCES,
-    LimitPolicy,
-    Tolerances,
-)
+from .tolerances import DEFAULT_TOLERANCES, DERIVATIVE_FLOOR, ORDERING_SLACK, Tolerances
 
 SATURATES = "Saturates"
 DOES_NOT_SATURATE = "DoesNotSaturate"
@@ -69,15 +57,19 @@ class ConditionResidual:
 
 
 def classify_projectors(psi, projectors: ProjectorSet,
-                        eps_orth=DEFAULT_TOLERANCES.orthogonal_overlap
+                        tolerances: Tolerances = DEFAULT_TOLERANCES
                         ) -> ProjectorClassification:
-    """Split projectors into probe-orthogonal and probe-overlapping groups."""
+    """Split projectors into probe-orthogonal and probe-overlapping groups.
+
+    The threshold is ``tolerances.orthogonal_overlap``, for the probe within that of 1.
+    """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (projectors.basis.dim,):
         raise BasisMismatchError("state and projector set use different bases")
     overlaps = np.abs(projectors.vectors.conj() @ psi)
-    orthogonal = overlaps < eps_orth
-    probe = ~orthogonal & (overlaps > 1.0 - eps_orth)
+    eps = tolerances.orthogonal_overlap
+    orthogonal = overlaps < eps
+    probe = ~orthogonal & (overlaps > 1.0 - eps)
     tags = np.where(orthogonal, TAG_ORTHOGONAL,
                     np.where(probe, TAG_PROBE, TAG_NON_ORTHOGONAL))
     return ProjectorClassification(
@@ -97,13 +89,12 @@ def weak_commutativity_residual(bundle: DerivativeBundle) -> float:
 
 def orthogonal_condition_residuals(bundle: DerivativeBundle,
                                    projectors: ProjectorSet, indices,
-                                   policy: LimitPolicy = DEFAULT_LIMIT_POLICY,
                                    damp=None) -> list:
     """Residuals for projectors orthogonal to the probe, in projector order.
 
     With a nonzero first-order overlap the residual is the largest
     imaginary part of the bilinear <d_l psi|Y><Y|d_m psi>.  When every
-    first-order overlap is below ``policy.derivative_floor`` the condition
+    first-order overlap is below ``DERIVATIVE_FLOOR`` the condition
     is indeterminate at first order: the defining ratio
     Im[<d_l psi|Y><Y|psi>]/|<Y|psi>| is O(delta) along any path, since
     <Y|psi> is O(delta^2) and its derivatives O(delta), and its bound
@@ -124,7 +115,7 @@ def orthogonal_condition_residuals(bundle: DerivativeBundle,
     bilinear = np.abs(re[:, None] * im[None] - im[:, None] * re[None]).reshape(-1, indices.size)
     pairs = np.argmax(bilinear, axis=0)
     values = bilinear[pairs, np.arange(indices.size)]
-    dark = bounds < policy.derivative_floor
+    dark = bounds < DERIVATIVE_FLOOR
     rows = zip(indices.tolist(), dark.tolist(), bounds.tolist(), strongest.tolist(),
                values.tolist(), (pairs // bundle.d).tolist(), (pairs % bundle.d).tolist())
     return [
@@ -248,8 +239,7 @@ def condition_deficit(bundle: DerivativeBundle, record: OverlapRecord) -> np.nda
 
 
 def check_saturation(model: Interferometer, theta, projectors: ProjectorSet,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES,
-                     policy: LimitPolicy = DEFAULT_LIMIT_POLICY) -> SaturationReport:
+                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> SaturationReport:
     """Classify, evaluate every condition, and decide from their deficit.
 
     One bundle and one overlap record give the classical matrix and the
@@ -261,12 +251,11 @@ def check_saturation(model: Interferometer, theta, projectors: ProjectorSet,
     InternalInconsistencyError is raised rather than a report returned.
     """
     bundle = model.derivative_bundle(theta).validate()
-    record = overlap_record(model, bundle, projectors, policy)
-    classification = classify_projectors(bundle.psi, projectors,
-                                         tolerances.orthogonal_overlap)
+    record = overlap_record(model, bundle, projectors, tolerances)
+    classification = classify_projectors(bundle.psi, projectors, tolerances)
     damp = record.derivatives[0]
     t1 = orthogonal_condition_residuals(bundle, projectors, classification.orthogonal,
-                                        policy, damp=damp)
+                                        damp=damp)
     t2 = overlap_condition_residuals(bundle, projectors,
                                      classification.non_orthogonal, damp=damp)
 

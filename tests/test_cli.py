@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import csv
 import json
 import os
@@ -13,15 +14,15 @@ import pytest
 import multiphase
 from multiphase import (
     SATURATES,
-    LimitPolicy,
     ProjectorSet,
+    Tolerances,
     builtin_model,
     fisher_pair,
     save_model,
 )
 from multiphase import fisher as fisher_module
 from multiphase import saturation as saturation_module
-from multiphase.cli import main
+from multiphase.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -77,6 +78,20 @@ class TestCompute:
         code, _, _ = run(capsys, "compute", "--model", "mzi3", "--theta", "0,0,0")
         assert code == 2
 
+    @pytest.mark.parametrize("theta", ["nan,0", "0,inf"])
+    def test_non_finite_theta_is_config_error(self, capsys, theta):
+        code, out, err = run(capsys, "compute", "--model", "mzi4", "--theta", theta)
+        assert code == 2
+        assert "finite" in err and out == ""
+
+    @pytest.mark.parametrize("direction", ["1,2,3", "0,0"])
+    def test_bad_limit_direction_rejected_without_dark_outcomes(self, capsys, direction):
+        # No outcome is dark at this point, so the direction is never used.
+        code, _, err = run(capsys, "compute", "--model", "mzi4", "--theta", "0.7,0.3",
+                           "--limit-direction", direction)
+        assert code == 2
+        assert "direction" in err
+
     def test_ordering_failure_is_internal_inconsistency(self, capsys, monkeypatch):
         # A zero quantum matrix puts the classical one above the bound.
         monkeypatch.setattr(fisher_module, "qfim",
@@ -125,6 +140,17 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--model", "mzi3", "--resolution", "1,1")
         assert code == 2
         assert "resolution" in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--fixed", "5=1"),           # no such phase
+        ("--fixed", "0=1"),           # a swept phase
+        ("--resolution", "3,3,7"),    # three axes for a two-axis grid
+    ])
+    def test_malformed_grid_rejected(self, capsys, option, value):
+        code, out, err = run(capsys, "scan", "--model", "mzi3", "--resolution", "3,3",
+                             option, value)
+        assert code == 2
+        assert err.startswith("configuration error") and out == ""
 
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "grid.json"
@@ -183,11 +209,11 @@ class TestScanBatch:
 
         model = builtin_model(name)
         fock = ProjectorSet.fock(model.basis)
-        policy = LimitPolicy(audit_directions=True)
+        tolerances = Tolerances(audit_directions=True)
         expected = [
             (index // 6, index % 6) for index, row in enumerate(read_cells(audited))
             if fisher_pair(model, [float(row["theta1"]), float(row["theta2"])],
-                           fock, policy).direction_dependent
+                           fock, tolerances).diagnostics.direction_dependent
         ]
         reported = [(c["i"], c["j"]) for c in json.loads(out)["direction_dependent_cells"]]
         assert reported == expected
@@ -277,7 +303,7 @@ class TestConstructOptimal:
         out_path = tmp_path / "set.json"
         code, out, _ = run(capsys, "construct-optimal", "--model", "mzi3",
                            "--theta", "0,0", "--variant", "nonorthogonal",
-                           "--mix", "0.5", "--out", str(out_path))
+                           "--out", str(out_path))
         assert code == 0
         from multiphase import ProjectorSet
 
@@ -332,7 +358,9 @@ class TestConfiguration:
         # Singular outcomes have no extrapolation left to tolerate, and the
         # saturation verdict reads the condition deficit against tol-gap.
         config = tmp_path / "settings.cfg"
-        for line in ("tol-limit = 1e-6", "tol-sat = 1e-8"):
+        # Hermitian and unitary checks use fixed thresholds.
+        for line in ("tol-limit = 1e-6", "tol-sat = 1e-8",
+                     "tol-hermitian = 1e-300", "tol-unitary = 1e-300"):
             config.write_text(line + "\n")
             code, _, err = run(capsys, "compute", "--model", "mzi3",
                                "--theta", "0,0", "--config", str(config))
@@ -340,9 +368,63 @@ class TestConfiguration:
             assert "unknown key" in err
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
+        # compute reads no saturation threshold, so tol-gap is unknown to it.
         config = tmp_path / "settings.cfg"
-        config.write_text("tol-bogus = 1\n")
-        code, _, err = run(capsys, "compute", "--model", "mzi3",
-                           "--theta", "0,0", "--config", str(config))
-        assert code == 2
-        assert "unknown key" in err
+        for line in ("tol-bogus = 1", "tol-gap = 4.1"):
+            config.write_text(line + "\n")
+            code, _, err = run(capsys, "compute", "--model", "mzi3",
+                               "--theta", "0,0", "--config", str(config))
+            assert code == 2
+            assert "unknown key" in err
+
+
+SETTINGS = ("--config", "--limit-direction", "--out")
+OPTIONS = {
+    "compute": ("--model", "--theta", "--projectors", *SETTINGS, "--p-floor",
+                "--audit-directions"),
+    "scan": ("--model", "--phases", "--range1", "--range2", "--resolution", "--fixed",
+             "--format", *SETTINGS, "--p-floor", "--audit-directions", "--tol-gap"),
+    "check-saturation": ("--model", "--theta", "--projectors", *SETTINGS, "--p-floor",
+                         "--audit-directions", "--tol-gap", "--tol-orth"),
+    "construct-optimal": ("--model", "--theta", "--variant", *SETTINGS, "--p-floor",
+                          "--tol-gap", "--tol-wc"),
+    "verify-paper": ("--only",),
+}
+
+
+class TestOptions:
+    """Each subcommand takes only the options that can change its result."""
+
+    def test_option_lists(self):
+        (subparsers,) = [action for action in build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        found = {
+            name: {option for action in sub._actions for option in action.option_strings
+                   if option.startswith("--") and option != "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert found == {name: set(options) for name, options in OPTIONS.items()}
+        assert sum(map(len, found.values())) == 41
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-paper", "--tol-gap", "1"),
+        ("construct-optimal", "--model", "mzi3", "--theta", "0,0", "--mix", "0.5"),
+        ("construct-optimal", "--model", "mzi3", "--theta", "0,0", "--audit-directions"),
+        ("compute", "--model", "mzi3", "--theta", "0,0", "--tol-unitary", "1e-300"),
+        ("check-saturation", "--model", "mzi3", "--theta", "0,0", "--tol-hermitian", "1"),
+    ])
+    def test_dropped_options_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, setting", [
+        (("check-saturation", "--model", "mzi3", "--theta", "0.7,0.3"), ("--tol-orth", "0.5")),
+        (("construct-optimal", "--model", "mzi3", "--theta", "0.7,0.3"), ("--tol-wc", "0")),
+        (("compute", "--model", "mzi3", "--theta", "0.7,0.3"), ("--p-floor", "1")),
+        (("compute", "--model", "mzi3", "--theta", "0,0"), ("--limit-direction", "1,0")),
+    ])
+    def test_setting_changes_the_result(self, capsys, argv, setting):
+        # tol-gap and --audit-directions are covered by the scan tests.
+        assert run(capsys, *argv) != run(capsys, *argv, *setting)

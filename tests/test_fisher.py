@@ -8,9 +8,9 @@ from multiphase import (
     DimensionMismatchError,
     IncompleteSetError,
     Interferometer,
-    LimitPolicy,
     ProjectorSet,
     StepTooLargeError,
+    Tolerances,
     basis_state,
     builtin_model,
     enumerate_basis,
@@ -257,21 +257,20 @@ class TestFisherPairs:
         model = builtin_model("mzi4")
         fock = ProjectorSet.fock(model.basis)
         plain = fisher_pair(model, [0.9, 0.9], fock)
-        audited = fisher_pair(model, [0.9, 0.9], fock, LimitPolicy(audit_directions=True))
+        audited = fisher_pair(model, [0.9, 0.9], fock, Tolerances(audit_directions=True))
         assert audited.diagnostics.limit_evaluated
         assert np.array_equal(audited.fim, plain.fim)
         assert np.array_equal(audited.qfim, plain.qfim)
         assert audited.gap == plain.gap < 1e-6
         # On the saturating locus the limit does not depend on the direction.
-        assert not audited.direction_dependent
+        assert not audited.diagnostics.direction_dependent
 
     def test_audit_flags_direction_dependence_at_three_mode_origin(self):
         model = builtin_model("mzi3")
         fock = ProjectorSet.fock(model.basis)
         plain = fisher_pair(model, [0.0, 0.0], fock)
-        audited = fisher_pair(model, [0.0, 0.0], fock, LimitPolicy(audit_directions=True))
-        assert not plain.direction_dependent
-        assert audited.direction_dependent
+        audited = fisher_pair(model, [0.0, 0.0], fock, Tolerances(audit_directions=True))
+        assert not plain.diagnostics.direction_dependent
         assert audited.diagnostics.direction_dependent
         assert np.array_equal(audited.fim, plain.fim)
 
@@ -299,7 +298,7 @@ class TestDarkOutcomes:
     def test_second_order_direction_matches_richardson(self):
         model = builtin_model("mzi4")
         fock = ProjectorSet.fock(model.basis)
-        pair = fisher_pair(model, [0.0, 0.0], fock, LimitPolicy(direction=(1.0, -1.0)))
+        pair = fisher_pair(model, [0.0, 0.0], fock, Tolerances(direction=(1.0, -1.0)))
         assert pair.diagnostics.second_order
         reference = richardson_fim(model, [0.0, 0.0], fock, [1.0, -1.0])
         assert np.max(np.abs(pair.fim - reference)) <= 1e-9
@@ -308,7 +307,7 @@ class TestDarkOutcomes:
         model = builtin_model("mzi4")
         fock = ProjectorSet.fock(model.basis)
         plain = fisher_pair(model, [0.9, 0.9], fock)
-        floorless = fisher_pair(model, [0.9, 0.9], fock, LimitPolicy(probability_floor=0.0))
+        floorless = fisher_pair(model, [0.9, 0.9], fock, Tolerances(probability_floor=0.0))
         assert np.array_equal(floorless.fim, plain.fim)
         assert floorless.diagnostics == plain.diagnostics
 

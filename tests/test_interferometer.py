@@ -10,6 +10,7 @@ from multiphase import (
     Interferometer,
     ProjectorSet,
     builtin_model,
+    check_saturation,
     fisher_pair,
     load_model,
     model_from_dict,
@@ -92,6 +93,19 @@ class TestOutputState:
     def test_wrong_arity_rejected(self):
         with pytest.raises(DimensionMismatchError):
             builtin_model("mzi3").output_state([0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phases_rejected(self, bad):
+        # A NaN gap compares false, so it would pass every later check.
+        model = builtin_model("mzi4")
+        fock = ProjectorSet.fock(model.basis)
+        calls = (lambda: model.output_state([bad, 0.0]),
+                 lambda: model.derivative_bundle([[0.1, 0.2], [0.3, bad]]),
+                 lambda: fisher_pair(model, [bad, 0.0], fock),
+                 lambda: check_saturation(model, [0.0, bad], fock))
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 class TestDerivativeBundle:

@@ -8,9 +8,9 @@ from multiphase import (
     SATURATES,
     DerivativeBundle,
     Interferometer,
-    LimitPolicy,
     ProjectorSet,
     SaturationReport,
+    Tolerances,
     builtin_model,
     check_saturation,
     classify_projectors,
@@ -18,6 +18,7 @@ from multiphase import (
     overlap_condition_residuals,
     weak_commutativity_residual,
 )
+from multiphase.tolerances import DERIVATIVE_FLOOR
 
 C_VALUE = 1.0 / (3.0 * np.sqrt(3.0))
 
@@ -125,7 +126,7 @@ class TestOrthogonalConditionResiduals:
         (r,) = orthogonal_condition_residuals(bundle, fock, [k])
         damp = np.abs(fock.vectors[k].conj() @ bundle.dpsi.T)
         assert r.indeterminate_first_order
-        assert r.value == np.max(damp) < LimitPolicy().derivative_floor
+        assert r.value == np.max(damp) < DERIVATIVE_FLOOR
         assert r.indices == (int(np.argmax(damp)),)
 
     def test_matches_a_per_projector_loop(self):
@@ -252,7 +253,7 @@ class TestCheckSaturation:
         # along the coordinate axes differ from the diagonal one.
         model = builtin_model("mzi3")
         report = check_saturation(model, [0.0, 0.0], ProjectorSet.fock(model.basis),
-                                  policy=LimitPolicy(audit_directions=True))
+                                  Tolerances(audit_directions=True))
         assert report.direction_dependent
         clone = SaturationReport.from_json(report.to_json())
         assert clone.direction_dependent
