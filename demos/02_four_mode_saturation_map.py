@@ -16,10 +16,12 @@ fock = ProjectorSet.fock(model.basis)
 resolution = 41
 axis = 2.0 * np.pi * np.arange(resolution) / resolution
 grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-gaps = np.array([pair.gap for pair in fisher_pairs(model, grid, fock)])
-gaps = gaps.reshape(resolution, resolution)
+pairs = fisher_pairs(model, grid, fock)
+gaps = np.array([pair.gap for pair in pairs]).reshape(resolution, resolution)
 
-saturating = np.argwhere(gaps < 1e-6)
+# Each pair carries the verdict: the condition deficit F_Q - F below 1e-6.
+saturating = np.argwhere(np.array([pair.saturates for pair in pairs])
+                         .reshape(resolution, resolution))
 print(f"grid: {resolution} x {resolution} over [0, 2pi)^2")
 print(f"zero-gap cells: {len(saturating)}")
 print("first few:", [(int(i), int(j)) for i, j in saturating[:8]])

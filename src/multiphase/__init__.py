@@ -20,6 +20,7 @@ from .fisher import (
     FisherPair,
     OverlapRecord,
     ProjectorSet,
+    condition_deficit,
     fim,
     fim_finite_difference,
     fim_from_bundle,
@@ -70,7 +71,6 @@ from .saturation import (
     SaturationReport,
     check_saturation,
     classify_projectors,
-    condition_deficit,
     orthogonal_condition_residuals,
     overlap_condition_residuals,
     weak_commutativity_residual,

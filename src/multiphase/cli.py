@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands: ``compute`` (single-point Fisher matrices), ``scan``
-(phase-grid sweep to CSV/JSON), ``check-saturation`` (condition report;
-the verdict compares the largest eigenvalue of the condition deficit
-``4 sum_k q_k q_k^T`` with ``tol-gap``), ``construct-optimal`` (saturating
-projector sets), ``verify-paper`` (reference-value regression table).
+(phase-grid sweep to CSV/JSON), ``check-saturation`` (condition report),
+``construct-optimal`` (saturating projector sets), ``verify-paper``
+(reference-value regression table).  ``scan`` and ``check-saturation``
+share one verdict, read from the condition deficit (``fisher.evaluate``).
 
 Each subcommand accepts only the options that can change its output or
-its exit code.  Its tolerance keys (``tol-gap``, ``tol-orth``, ``tol-wc``,
+its exit code.  Its tolerance keys (``tol-gap``, ``tol-orth``,
 ``p-floor``) are set by flags or by a ``key = value`` file (``--config``;
 flags win), and a file naming a key the subcommand does not read is
-rejected like one naming an unknown key.
+rejected like one naming an unknown key.  A non-finite or negative
+tolerance exits 2.
 
 Exit codes: 0 ok, 1 verification failure, 2 configuration error,
 4 construction self-check failure, 6 internal inconsistency (theory and
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EstimationError, InternalInconsistencyError
-from .fisher import ProjectorSet, fisher_pair, fisher_pairs
+from .fisher import ProjectorSet, fisher_pair, fisher_pairs, qfim
 from .interferometer import builtin_model, load_model, tritter, quarter
 from .linalg import spectral_norm
 from .optimal import construct_nonorthogonal_optimal, construct_orthogonal_optimal
@@ -41,7 +42,6 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 _CONFIG_KEYS = {
     "tol-gap": "saturation_gap",
     "tol-orth": "orthogonal_overlap",
-    "tol-wc": "weak_commutativity",
     "p-floor": "probability_floor",
 }
 
@@ -219,13 +219,12 @@ def cmd_scan(args) -> int:
         i, j = divmod(index, resolutions[1])
         theta1, theta2 = pair.theta[sweep[0]], pair.theta[sweep[1]]
         cell = {"i": i, "j": j, "theta1": float(theta1), "theta2": float(theta2)}
-        saturates = pair.gap < tolerances.saturation_gap
-        if saturates:
+        if pair.saturates:
             saturating.append(cell)
         if pair.diagnostics.direction_dependent:
             direction_dependent.append(cell)
         rows.append([_fmt(theta1), _fmt(theta2), _fmt(pair.gap),
-                     SATURATES if saturates else DOES_NOT_SATURATE]
+                     SATURATES if pair.saturates else DOES_NOT_SATURATE]
                     + [_fmt(float(x)) for x in _upper_triangle(pair.fim)]
                     + [_fmt(float(x)) for x in _upper_triangle(pair.qfim)])
 
@@ -318,26 +317,18 @@ def _reference_checks():
 
     def check_qfim3():
         expected = (8.0 / 3.0) * np.array([[2.0, -1.0], [-1.0, 2.0]])
-        worst = 0.0
-        for theta in ([0.0, 0.0], [0.7, 0.3], [2.0, 5.5]):
-            model = builtin_model("mzi3")
-            pair = fisher_pair(model, theta, ProjectorSet.fock(model.basis))
-            worst = max(worst, float(np.max(np.abs(pair.qfim - expected))))
+        bundle = builtin_model("mzi3").derivative_bundle([[0.0, 0.0], [0.7, 0.3], [2.0, 5.5]])
+        worst = float(np.max(np.abs(qfim(bundle) - expected)))
         return "(8/3)[[2,-1],[-1,2]] at all theta", f"max dev {worst:.2e}", 1e-9, worst <= 1e-9
 
     def check_qfim4():
         expected = 2.0 * np.array([[3.0, -1.0], [-1.0, 3.0]])
-        worst = 0.0
-        for theta in ([0.0, 0.0], [0.9, 0.9], [1.3, 0.2]):
-            model = builtin_model("mzi4")
-            pair = fisher_pair(model, theta, ProjectorSet.fock(model.basis))
-            worst = max(worst, float(np.max(np.abs(pair.qfim - expected))))
+        bundle = builtin_model("mzi4").derivative_bundle([[0.0, 0.0], [0.9, 0.9], [1.3, 0.2]])
+        worst = float(np.max(np.abs(qfim(bundle) - expected)))
         return "2[[3,-1],[-1,3]] at all theta", f"max dev {worst:.2e}", 1e-9, worst <= 1e-9
 
     def check_norm8():
-        model = builtin_model("mzi3")
-        pair = fisher_pair(model, [0.4, 1.9], ProjectorSet.fock(model.basis))
-        value = spectral_norm(pair.qfim)
+        value = spectral_norm(builtin_model("mzi3").quantum_fisher)
         return "||F_Q||_2 = 8", f"{value:.12f}", 1e-9, abs(value - 8.0) <= 1e-9
 
     def check_fim3_origin():
@@ -403,10 +394,8 @@ def _reference_checks():
 
     def check_saturation_verdicts():
         m3, m4 = builtin_model("mzi3"), builtin_model("mzi4")
-        r1 = check_saturation(m3, [0.0, 0.0], ProjectorSet.fock(m3.basis))
-        r2 = check_saturation(m4, [0.0, 0.0], ProjectorSet.fock(m4.basis))
-        r3 = check_saturation(m4, [0.0, np.pi], ProjectorSet.fock(m4.basis))
-        verdicts = (r1.verdict, r2.verdict, r3.verdict)
+        verdicts = tuple(check_saturation(m, theta, ProjectorSet.fock(m.basis)).verdict
+                         for m, theta in ((m3, [0.0, 0.0]), (m4, [0.0, 0.0]), (m4, [0.0, np.pi])))
         expected = (DOES_NOT_SATURATE, SATURATES, SATURATES)
         return str(expected), str(verdicts), 0, verdicts == expected
 
@@ -483,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True)
     p.add_argument("--variant", choices=("orthogonal", "nonorthogonal"),
                    default="orthogonal")
-    _add_settings(p, ("tol-gap", "tol-wc", "p-floor"), audit=False)
+    _add_settings(p, ("tol-gap", "p-floor"), audit=False)
     p.set_defaults(func=cmd_construct_optimal)
 
     p = sub.add_parser("verify-paper", help="run the reference-value checks")

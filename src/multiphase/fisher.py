@@ -11,6 +11,10 @@ of ``limit_directions`` in turn.  Outcomes whose first-order overlaps all
 vanish contribute zero.  ``overlap_record`` forms ``z = conj(da) a^`` once
 for the classical matrix and for the saturation conditions.
 
+``evaluate``, behind ``fisher_pairs`` and ``check_saturation``, takes
+``F_Q`` from the model, checks ``F <= F_Q`` and ``F_Q - F =
+condition_deficit``, and reads the verdict from the deficit.
+
 Every evaluation takes one ``Tolerances`` record: its probability floor,
 approach direction and audit flag.  The fixed floors and the ordering slack
 are the constants of ``tolerances``.
@@ -122,7 +126,7 @@ class ProjectorSet:
 def qfim(bundle: DerivativeBundle) -> np.ndarray:
     """Quantum Fisher information matrix of a pure-state derivative bundle.
 
-    A batched bundle gives one matrix per point, stacked as (G, d, d).
+    A batched bundle gives (G, d, d).  The oracle for ``Interferometer.quantum_fisher``.
     """
     dpsi = bundle.dpsi
     overlaps = dpsi.conj() @ np.swapaxes(dpsi, -1, -2)      # <d_l psi|d_m psi>
@@ -132,12 +136,11 @@ def qfim(bundle: DerivativeBundle) -> np.ndarray:
 
 
 def probabilities(psi, projectors: ProjectorSet) -> np.ndarray:
-    """Outcome distribution |<Y_k|psi>|^2."""
+    """Outcome distribution |<Y_k|psi>|^2 of a state (D,) or a stack (G, D)."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (projectors.basis.dim,):
+    if psi.shape[-1:] != (projectors.basis.dim,) or psi.ndim > 2:
         raise BasisMismatchError("state and projector set use different bases")
-    amplitudes = projectors.vectors.conj() @ psi
-    return np.abs(amplitudes) ** 2
+    return np.abs(psi @ projectors.vectors.conj().T) ** 2
 
 
 @dataclass
@@ -327,40 +330,39 @@ def fim_finite_difference(model: Interferometer, theta, projectors: ProjectorSet
                           delta: float = 1e-4) -> np.ndarray:
     """Independent finite-difference evaluation of the classical matrix.
 
-    Central differences on the outcome probabilities; requires every
-    probability to clear ``10 * delta`` so the differencing is stable.
+    Central differences on the outcome probabilities of 2d + 1 stacked
+    states; requires every probability to clear ``10 * delta``.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    probs = probabilities(model.output_state(theta), projectors)
-    if np.min(probs) <= 10.0 * delta:
-        raise StepTooLargeError(
-            f"min outcome probability {np.min(probs):.3e} <= 10 * delta = {10 * delta:.1e}"
-        )
     d = model.d
-    dP = np.empty((d, len(projectors)))
-    for l in range(d):
-        step = np.zeros(d)
-        step[l] = delta
-        plus = probabilities(model.output_state(theta + step), projectors)
-        minus = probabilities(model.output_state(theta - step), projectors)
-        dP[l] = (plus - minus) / (2.0 * delta)
-    matrix = (dP / probs) @ dP.T
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape != (d,):
+        raise DimensionMismatchError(f"expected {d} phases, got shape {theta.shape}")
+    steps = delta * np.eye(d)
+    probs = probabilities(model.output_state(theta + np.vstack([np.zeros(d), steps, -steps])),
+                          projectors)
+    if np.min(probs[0]) <= 10.0 * delta:
+        raise StepTooLargeError(
+            f"min outcome probability {np.min(probs[0]):.3e} <= 10 * delta = {10 * delta:.1e}"
+        )
+    dP = (probs[1:d + 1] - probs[d + 1:]) / (2.0 * delta)
+    matrix = (dP / probs[0]) @ dP.T
     return 0.5 * (matrix + matrix.T)
 
 
 @dataclass(frozen=True)
 class FisherPair:
-    """Classical and quantum matrices at one working point, with their gap."""
+    """Classical and quantum matrices at one working point, their gap and verdict."""
 
     theta: np.ndarray
     fim: np.ndarray
-    qfim: np.ndarray
-    gap: float
+    qfim: np.ndarray              # the model's read-only quantum_fisher
+    gap: float                    # ||F_Q - F||_2
+    saturates: bool               # lambda_max(condition_deficit) < saturation_gap
     diagnostics: FimDiagnostics
 
 
 def quantum_gaps(classical, quantum) -> np.ndarray:
-    """Gaps ``||F_Q - F||_2`` of (G, d, d) stacks, after the ordering checks.
+    """Gaps ``||F_Q - F||_2`` of a (G, d, d) stack, after the ordering checks.
 
     Raises InternalInconsistencyError at the first point where ``F <= F_Q``
     fails or the gap exceeds ``||F_Q||_2``.
@@ -382,38 +384,62 @@ def quantum_gaps(classical, quantum) -> np.ndarray:
     return gaps
 
 
+def condition_deficit(model: Interferometer, record: OverlapRecord) -> np.ndarray:
+    """``4 sum_k q_k q_k^T`` per point, (G, d, d); it equals ``F_Q - F``.
+
+    ``q_k = Im z_k - |a_k| gamma`` with ``gamma_l = Im<d_l psi|psi> = -<n_l>``,
+    the model's ``mean_occupation``.
+    """
+    q = record.z.imag + record.magnitudes[:, None, :] * model.mean_occupation[:, None]
+    deficit = 4.0 * q @ np.swapaxes(q, -1, -2)
+    return 0.5 * (deficit + np.swapaxes(deficit, -1, -2))
+
+
+def evaluate(model: Interferometer, theta, projectors: ProjectorSet,
+             tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """The validated bundle at ``theta``, (d,) or (G, d), its record and pairs.
+
+    A point saturates when the largest eigenvalue of ``condition_deficit``
+    is below ``tolerances.saturation_gap``.  Raises InternalInconsistencyError
+    where ``F <= F_Q`` fails or ``F_Q - F`` differs from the deficit.
+    """
+    bundle = model.derivative_bundle(theta).validate()
+    record = overlap_record(model, bundle, projectors, tolerances)
+    classical, quantum = record.fim(), model.quantum_fisher
+    gaps = quantum_gaps(classical, quantum)
+    deficit = condition_deficit(model, record)
+    mismatch = float(np.max(np.abs(quantum - classical - deficit)))
+    if mismatch > ORDERING_SLACK * max(1.0, np.max(np.abs(quantum))):
+        raise InternalInconsistencyError(
+            f"F_Q - F differs from 4 sum_k q_k q_k^T by {mismatch:.3e}"
+        )
+    saturates = hermitian_eigenvalues(deficit)[:, -1] < tolerances.saturation_gap
+    return bundle, record, [
+        FisherPair(theta=theta_g, fim=classical[g], qfim=quantum, gap=float(gaps[g]),
+                   saturates=bool(saturates[g]), diagnostics=record.diagnostics[g])
+        for g, theta_g in enumerate(bundle.theta.reshape(-1, bundle.d))
+    ]
+
+
 def fisher_pairs(model: Interferometer, thetas, projectors: ProjectorSet,
                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> list:
     """``fisher_pair`` at each row of a (G, d) array of working points.
 
-    The points are evaluated as one batch: one bundle, one product of
-    outcome scores, stacked quantum matrices and stacked eigenvalue checks.
-    The working set is O(G * d * D) for basis dimension D.  Raises the
-    errors of the per-point evaluation: validation and the ordering checks
-    each run over all points in turn, and the first failing point of the
-    first failing stage is reported.
+    The points are evaluated as one batch by ``evaluate``: one bundle, one
+    product of outcome scores and stacked eigenvalue checks.  The working
+    set is O(G * d * D) for basis dimension D.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2:
         raise DimensionMismatchError(f"expected a (G, d) array, got shape {thetas.shape}")
-    bundle = model.derivative_bundle(thetas).validate()
-    classical, diagnostics = fim_from_bundle(model, bundle, projectors, tolerances)
-    quantum = qfim(bundle)
-    gaps = quantum_gaps(classical, quantum)
-    return [
-        FisherPair(theta=bundle.theta[g], fim=classical[g], qfim=quantum[g],
-                   gap=float(gaps[g]), diagnostics=diagnostics[g])
-        for g in range(len(thetas))
-    ]
+    return evaluate(model, thetas, projectors, tolerances)[2]
 
 
 def fisher_pair(model: Interferometer, theta, projectors: ProjectorSet,
                 tolerances: Tolerances = DEFAULT_TOLERANCES) -> FisherPair:
-    """Evaluate both matrices and validate the quantum-ordering invariant.
+    """Both matrices, their gap and the saturation verdict at one point.
 
     The single-point case of ``fisher_pairs``.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.ndim != 1:
-        raise DimensionMismatchError(f"expected {model.d} phases, got shape {theta.shape}")
-    return fisher_pairs(model, theta[None, :], projectors, tolerances)[0]
+    theta = np.asarray(theta, dtype=float).reshape(1, -1)   # a stack fails the phase count
+    return fisher_pairs(model, theta, projectors, tolerances)[0]

@@ -3,7 +3,8 @@
 A model fixes the splitter W, the phase-carrying modes, and a Fock probe;
 per-theta evaluation touches only the diagonal phase layer between the two
 cached lifted splitters.  Derivative states are exact (number-operator
-insertion), never finite differences.
+insertion), never finite differences.  The quantum Fisher matrix
+``4 Cov(n_l, n_m)`` over ``|lift(W)|probe>|^2`` is a constant of the model.
 """
 
 import json
@@ -85,6 +86,7 @@ class Interferometer:
 
     The evolution is ``lift(W^-1) . PhaseLayer(theta) . lift(W)`` applied to
     a Fock probe, with e^{+i theta_l} acting on ``phase_modes[l]``.
+    ``quantum_fisher`` (d, d) and ``mean_occupation`` (d,) are read-only constants.
     """
 
     def __init__(self, splitter, phase_modes, probe):
@@ -114,26 +116,32 @@ class Interferometer:
         self._phase_occupations = np.column_stack(
             [number_operator(self.basis, p) for p in phase_modes]
         )
+        weights = np.abs(self._split_probe) ** 2
+        # At every theta, Im<d_l psi|psi> = -<n_l> and F_Q = 4 Cov(n_l, n_m).
+        self.mean_occupation = weights @ self._phase_occupations
+        centred = self._phase_occupations - self.mean_occupation
+        covariance = (centred.T * weights) @ centred
+        self.quantum_fisher = 2.0 * (covariance + covariance.T)
+        self.quantum_fisher.flags.writeable = self.mean_occupation.flags.writeable = False
 
     @property
     def d(self) -> int:
         return len(self.phase_modes)
 
-    def _theta(self, theta, allow_batch=False) -> np.ndarray:
+    def _shifted(self, theta) -> tuple:
+        """Validated phases, (d,) or (G, d), and ``P(theta) lift(W)|probe>``."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape[-1] != self.d or theta.ndim > 1 + allow_batch:
+        if theta.shape[-1] != self.d or theta.ndim > 2:
             raise DimensionMismatchError(
                 f"expected {self.d} phases, got shape {theta.shape}"
             )
         if not np.isfinite(theta).all():
             raise ValueError("phases must be finite")
-        return theta
+        return theta, np.exp(1j * (theta @ self._phase_occupations.T)) * self._split_probe
 
     def output_state(self, theta) -> np.ndarray:
-        """Normalized amplitudes of U(theta) applied to the probe."""
-        theta = self._theta(theta)
-        layer = np.exp(1j * (self._phase_occupations @ theta))
-        return self.lifted_splitter_inverse @ (layer * self._split_probe)
+        """Normalized amplitudes of U(theta) applied to the probe, (D,) or (G, D)."""
+        return self._shifted(theta)[1] @ self.lifted_splitter_inverse.T
 
     def derivative_bundle(self, theta) -> DerivativeBundle:
         """Output state plus its exact derivative with respect to each phase.
@@ -142,8 +150,7 @@ class Interferometer:
         gives a batched bundle with one GEMM for all states and one for
         all derivative states.
         """
-        theta = self._theta(theta, allow_batch=True)
-        shifted = np.exp(1j * (theta @ self._phase_occupations.T)) * self._split_probe
+        theta, shifted = self._shifted(theta)
         rows = self.lifted_splitter_inverse.T     # psi = shifted @ rows, row-wise
         psi = shifted @ rows
         dpsi = (1j * self._phase_occupations.T * shifted[..., None, :]) @ rows
@@ -154,8 +161,7 @@ class Interferometer:
 
         The generators commute, so ``d_l d_m psi = -W^-1 n_l n_m P(theta) W|probe>``.
         """
-        theta = self._theta(theta, allow_batch=True)
-        shifted = np.exp(1j * (theta @ self._phase_occupations.T)) * self._split_probe
+        _, shifted = self._shifted(theta)
         n = self._phase_occupations.T
         layers = -(n[:, None, :] * n[None, :, :]) * shifted[..., None, None, :]
         rows = self.lifted_splitter_inverse.T

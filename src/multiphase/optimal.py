@@ -22,6 +22,7 @@ from .linalg import gram_schmidt_real_span
 from .tolerances import (
     CONSTRUCTION_GAP,
     DEFAULT_TOLERANCES,
+    GRAM_SCHMIDT_DROP,
     OMEGA_ORTHOGONALITY,
     Tolerances,
 )
@@ -96,12 +97,13 @@ def _complete_orthonormal(columns, dim: int) -> np.ndarray:
     return q[:, k:]
 
 
-def _frame_and_span(model: Interferometer, theta, tolerances: Tolerances):
+def _frame_and_span(model: Interferometer, theta):
     bundle = model.derivative_bundle(theta).validate()
     frame = omega_frame(bundle)
-    # Zero for number-operator generators, whose <d_l psi|d_m psi> is real.
+    # Zero for number-operator generators, whose <d_l psi|d_m psi> is real;
+    # the real-coefficient span below needs it under the same threshold.
     residual = frame.weak_commutativity_residual
-    if residual >= tolerances.weak_commutativity:
+    if residual > GRAM_SCHMIDT_DROP:
         raise InternalInconsistencyError(
             f"weak commutativity violated: max |Im Omega| = {residual:.3e}"
         )
@@ -126,7 +128,7 @@ def construct_orthogonal_optimal(model: Interferometer, theta,
 
     Completed to a full orthonormal measurement.
     """
-    bundle, frame, span_vectors, coefficients = _frame_and_span(model, theta, tolerances)
+    bundle, frame, span_vectors, coefficients = _frame_and_span(model, theta)
     in_span = [bundle.psi] + span_vectors
     completion = _complete_orthonormal(in_span, model.basis.dim)
     vectors = np.vstack([np.array(in_span), completion.T])
@@ -152,7 +154,7 @@ def construct_nonorthogonal_optimal(model: Interferometer, theta, mix: float = 0
     """
     if not 0.0 < mix < 1.0:
         raise ValueError("mix must lie strictly between 0 and 1")
-    bundle, frame, span_vectors, gs_coefficients = _frame_and_span(model, theta, tolerances)
+    bundle, frame, span_vectors, gs_coefficients = _frame_and_span(model, theta)
 
     axes = np.column_stack([bundle.psi] + span_vectors)    # D x (r + 1)
     r_plus_1 = axes.shape[1]

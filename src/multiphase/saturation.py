@@ -9,10 +9,10 @@ record that ``fisher`` sums into the classical matrix) and
 so it reaches the quantum bound exactly when every ``q_k`` vanishes: the
 T2 condition for a projector overlapping the probe (``|a_k| q_k`` is its
 residual vector) and the T1 condition for one orthogonal to it.  The
-verdict is read from this deficit, and ``F_Q - F`` computed directly must
-match it at every call, else InternalInconsistencyError is raised.  Each
-projector's own T1 or T2 value and the weak-commutativity residual are
-reported alongside.
+verdict is read from this deficit by ``fisher.evaluate``, as in ``scan``,
+and ``F_Q - F`` must match it at every call, else
+InternalInconsistencyError is raised.  Each projector's own T1 or T2
+value and the weak-commutativity residual are reported alongside.
 """
 
 import json
@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError, InternalInconsistencyError
-from .fisher import OverlapRecord, ProjectorSet, overlap_record, qfim, quantum_gaps
+from .errors import BasisMismatchError
+from .fisher import ProjectorSet, evaluate
 from .interferometer import DerivativeBundle, Interferometer
-from .linalg import hermitian_eigenvalues
-from .tolerances import DEFAULT_TOLERANCES, DERIVATIVE_FLOOR, ORDERING_SLACK, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, DERIVATIVE_FLOOR, Tolerances
 
 SATURATES = "Saturates"
 DOES_NOT_SATURATE = "DoesNotSaturate"
@@ -230,52 +229,25 @@ class SaturationReport:
         return cls.from_dict(json.loads(text))
 
 
-def condition_deficit(bundle: DerivativeBundle, record: OverlapRecord) -> np.ndarray:
-    """``4 sum_k q_k q_k^T`` per point, (G, d, d); it equals ``F_Q - F``."""
-    gamma = (bundle.dpsi.conj() @ bundle.psi[..., None]).imag.reshape(-1, bundle.d, 1)
-    q = record.z.imag - record.magnitudes[:, None, :] * gamma
-    deficit = 4.0 * q @ np.swapaxes(q, -1, -2)
-    return 0.5 * (deficit + np.swapaxes(deficit, -1, -2))
-
-
 def check_saturation(model: Interferometer, theta, projectors: ProjectorSet,
                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> SaturationReport:
-    """Classify, evaluate every condition, and decide from their deficit.
+    """Classify, evaluate every condition, and report the verdict.
 
-    One bundle and one overlap record give the classical matrix and the
-    condition vectors.  The verdict claims saturation exactly when the
-    largest eigenvalue of ``condition_deficit`` is below
-    ``tolerances.saturation_gap``.  Entrywise, ``F_Q - F`` must equal the
-    deficit to ``ORDERING_SLACK * max(1, max |F_Q|)``, and it must pass the
-    quantum-ordering checks of ``fisher_pairs``; otherwise
-    InternalInconsistencyError is raised rather than a report returned.
+    The single-point case of ``fisher.evaluate`` (verdict, gap and checks),
+    whose bundle and overlap record also give the per-projector conditions.
     """
-    bundle = model.derivative_bundle(theta).validate()
-    record = overlap_record(model, bundle, projectors, tolerances)
+    bundle, record, (pair,) = evaluate(model, theta, projectors, tolerances)
     classification = classify_projectors(bundle.psi, projectors, tolerances)
     damp = record.derivatives[0]
-    t1 = orthogonal_condition_residuals(bundle, projectors, classification.orthogonal,
-                                        damp=damp)
-    t2 = overlap_condition_residuals(bundle, projectors,
-                                     classification.non_orthogonal, damp=damp)
-
-    classical, quantum = record.fim(), qfim(bundle)[None]
-    (gap,) = quantum_gaps(classical, quantum)
-    deficit = condition_deficit(bundle, record)
-    mismatch = float(np.max(np.abs(quantum - classical - deficit)))
-    if mismatch > ORDERING_SLACK * max(1.0, np.max(np.abs(quantum))):
-        raise InternalInconsistencyError(
-            f"F_Q - F differs from 4 sum_k q_k q_k^T by {mismatch:.3e}"
-        )
-    saturates = hermitian_eigenvalues(deficit[0])[-1] < tolerances.saturation_gap
-
     return SaturationReport(
-        theta=bundle.theta,
+        theta=pair.theta,
         classification=classification,
         weak_comm_residual=weak_commutativity_residual(bundle),
-        t1=t1,
-        t2=t2,
-        verdict=SATURATES if saturates else DOES_NOT_SATURATE,
-        gap=float(gap),
-        direction_dependent=record.diagnostics[0].direction_dependent,
+        t1=orthogonal_condition_residuals(bundle, projectors, classification.orthogonal,
+                                          damp=damp),
+        t2=overlap_condition_residuals(bundle, projectors, classification.non_orthogonal,
+                                       damp=damp),
+        verdict=SATURATES if pair.saturates else DOES_NOT_SATURATE,
+        gap=pair.gap,
+        direction_dependent=pair.diagnostics.direction_dependent,
     )

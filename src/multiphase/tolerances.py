@@ -1,9 +1,9 @@
 """Every threshold behind the library's checks and verdicts.
 
-``Tolerances`` holds the six values a caller may set; each is also a CLI
-key or flag.  Every other threshold is a fixed module constant below.
-Constants that guard different checks stay separate even where their
-values agree.
+``Tolerances`` holds the five values a caller may set; each is also a CLI
+key or flag, and a non-finite or negative threshold is rejected.  Every
+other threshold is a fixed module constant below.  Constants that guard
+different checks stay separate even where their values agree.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ import numpy as np
 
 HERMITIAN = 1e-10            # max |M - M^H| accepted as Hermitian
 UNITARY = 1e-10              # max |U^H U - I| accepted as unitary
-GRAM_SCHMIDT_DROP = 1e-10    # max |Im Gram|; post-projection norm below which a vector is dropped
+GRAM_SCHMIDT_DROP = 1e-10    # max |Im Gram| (weak commutativity); norm below which a vector drops
 COMPLETENESS = 1e-9          # entrywise |sum_k P_k - I| for complete sets
 PROJECTOR_NORM = 1e-10       # max ||Y_k| - 1| of a projector vector
 OCCUPATION_MATCH = 1e-10     # |<n|Y_k>| within this of 1: Y_k is the occupation state |n>
@@ -42,10 +42,15 @@ class Tolerances:
 
     saturation_gap: float = 1e-6       # tol-gap: deficit or gap below this saturates
     orthogonal_overlap: float = 1e-10  # tol-orth: |<Y|psi>| below this is orthogonal to the probe
-    weak_commutativity: float = 1e-8   # tol-wc: max |Im Omega| at or above this breaks the model
     probability_floor: float = 1e-12   # p-floor: below this an outcome is singular
     direction: tuple | None = None     # --limit-direction: approach direction; None is the diagonal
     audit_directions: bool = False     # --audit-directions: flag direction-dependent dark limits
+
+    def __post_init__(self):
+        for name in ("saturation_gap", "orthogonal_overlap", "probability_floor"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     def unit_direction(self, d: int) -> np.ndarray:
         """The approach direction for ``d`` phases, normalized."""

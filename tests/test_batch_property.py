@@ -1,5 +1,6 @@
 """Property tests: the batched Fisher evaluation equals the per-point one,
-and ``F_Q - F`` equals the saturation-condition deficit ``4 sum_k q_k q_k^T``.
+``F_Q - F`` equals the saturation-condition deficit ``4 sum_k q_k q_k^T``,
+and the model's constant ``F_Q`` equals the bundle formula at every theta.
 
 Random QR-unitary instruments (up to four modes, three photons and m - 1
 phases) are evaluated on grids that hold singular points: theta = 0 and
@@ -71,6 +72,18 @@ def test_deficit_identity(case):
     for projectors in (ProjectorSet.fock(model.basis), rotated):
         record = overlap_record(model, bundle, projectors)
         quantum = qfim(bundle)
-        mismatch = quantum - record.fim() - condition_deficit(bundle, record)
+        mismatch = quantum - record.fim() - condition_deficit(model, record)
         scale = np.maximum(1.0, np.max(np.abs(quantum), axis=(1, 2)))
         assert np.all(np.max(np.abs(mismatch), axis=(1, 2)) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(instruments())
+def test_model_constants_equal_the_bundle_formulas(case):
+    model, thetas = case
+    bundle = model.derivative_bundle(thetas)
+    quantum = qfim(bundle)
+    scale = max(1.0, np.max(np.abs(quantum)))
+    assert np.max(np.abs(model.quantum_fisher - quantum)) <= 1e-12 * scale
+    gamma = (bundle.dpsi.conj() @ bundle.psi[..., None])[..., 0].imag
+    assert np.max(np.abs(gamma + model.mean_occupation)) <= 1e-12 * max(1.0, sum(model.probe))

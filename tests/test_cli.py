@@ -21,7 +21,6 @@ from multiphase import (
     save_model,
 )
 from multiphase import fisher as fisher_module
-from multiphase import saturation as saturation_module
 from multiphase.cli import build_parser, main
 
 
@@ -94,8 +93,7 @@ class TestCompute:
 
     def test_ordering_failure_is_internal_inconsistency(self, capsys, monkeypatch):
         # A zero quantum matrix puts the classical one above the bound.
-        monkeypatch.setattr(fisher_module, "qfim",
-                            lambda bundle: np.zeros(bundle.theta.shape + (bundle.d,)))
+        monkeypatch.setattr(builtin_model("mzi3"), "quantum_fisher", np.zeros((2, 2)))
         code, _, err = run(capsys, "compute", "--model", "mzi3", "--theta", "0.4,1.1")
         assert code == 6
         assert err.startswith("internal inconsistency")
@@ -264,15 +262,31 @@ class TestCheckSaturation:
         assert report["verdict"] == "DoesNotSaturate"
         assert report["gap"] > 0
 
-    def test_deficit_mismatch_is_internal_inconsistency(self, capsys, monkeypatch):
-        # A deficit that no longer equals F_Q - F must not yield a verdict.
-        deficit = saturation_module.condition_deficit
-        monkeypatch.setattr(saturation_module, "condition_deficit",
-                            lambda bundle, record: 1.01 * deficit(bundle, record))
-        code, _, err = run(capsys, "check-saturation", "--model", "mzi4",
-                           "--theta", "0.3,1.1")
-        assert code == 6
+    @pytest.mark.parametrize("argv", [
+        ("check-saturation", "--theta", "0.3,1.1"),
+        ("compute", "--theta", "0.3,1.1"),
+        ("scan", "--resolution", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_deficit_mismatch_is_internal_inconsistency(self, capsys, monkeypatch, argv):
+        # A deficit that no longer equals F_Q - F must not yield a verdict,
+        # in any subcommand.
+        deficit = fisher_module.condition_deficit
+        monkeypatch.setattr(fisher_module, "condition_deficit",
+                            lambda model, record: 1.01 * deficit(model, record))
+        code, out, err = run(capsys, argv[0], "--model", "mzi4", *argv[1:])
+        assert code == 6 and out == ""
         assert "differs from 4 sum_k q_k q_k^T" in err
+
+    def test_scan_verdict_equals_check_saturation(self, capsys):
+        # At (0, 0) the gap is roundoff (1e-15) and the deficit its square;
+        # both subcommands decide from the deficit.
+        _, out, _ = run(capsys, "scan", "--model", "mzi4", "--resolution", "3",
+                        "--tol-gap", "1e-20", "--format", "json")
+        scanned = json.loads(out)["cells"][0]
+        assert scanned[:2] == ["0", "0"]
+        _, out, _ = run(capsys, "check-saturation", "--model", "mzi4", "--theta", "0,0",
+                        "--tol-gap", "1e-20")
+        assert scanned[3] == json.loads(out)["verdict"] == SATURATES
 
     @pytest.mark.parametrize("t", [0.7, 1.9, 2.6])
     def test_verdict_follows_the_gap_beside_the_locus(self, capsys, t):
@@ -359,13 +373,31 @@ class TestConfiguration:
         # saturation verdict reads the condition deficit against tol-gap.
         config = tmp_path / "settings.cfg"
         # Hermitian and unitary checks use fixed thresholds.
+        # Weak commutativity is checked against the fixed GRAM_SCHMIDT_DROP.
         for line in ("tol-limit = 1e-6", "tol-sat = 1e-8",
-                     "tol-hermitian = 1e-300", "tol-unitary = 1e-300"):
+                     "tol-hermitian = 1e-300", "tol-unitary = 1e-300", "tol-wc = 1e-8"):
             config.write_text(line + "\n")
-            code, _, err = run(capsys, "compute", "--model", "mzi3",
-                               "--theta", "0,0", "--config", str(config))
-            assert code == 2
-            assert "unknown key" in err
+            for command in ("compute", "construct-optimal"):
+                code, _, err = run(capsys, command, "--model", "mzi3",
+                                   "--theta", "0,0", "--config", str(config))
+                assert code == 2
+                assert "unknown key" in err
+
+    @pytest.mark.parametrize("setting", [
+        ("--tol-gap", "nan"), ("--tol-gap", "-1"), ("--tol-gap", "inf"),
+        ("--tol-orth", "nan"), ("--p-floor", "nan"), ("--p-floor", "-1"),
+    ])
+    def test_bad_tolerance_is_config_error(self, capsys, setting):
+        code, out, err = run(capsys, "check-saturation", "--model", "mzi4",
+                             "--theta", "0,0", *setting)
+        assert code == 2
+        assert err.startswith("configuration error") and out == ""
+
+    def test_zero_probability_floor_accepted(self, capsys):
+        code, out, _ = run(capsys, "check-saturation", "--model", "mzi4",
+                           "--theta", "0,0", "--p-floor", "0")
+        assert code == 0
+        assert json.loads(out)["verdict"] == SATURATES
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         # compute reads no saturation threshold, so tol-gap is unknown to it.
@@ -387,7 +419,7 @@ OPTIONS = {
     "check-saturation": ("--model", "--theta", "--projectors", *SETTINGS, "--p-floor",
                          "--audit-directions", "--tol-gap", "--tol-orth"),
     "construct-optimal": ("--model", "--theta", "--variant", *SETTINGS, "--p-floor",
-                          "--tol-gap", "--tol-wc"),
+                          "--tol-gap"),
     "verify-paper": ("--only",),
 }
 
@@ -404,12 +436,13 @@ class TestOptions:
             for name, sub in subparsers.choices.items()
         }
         assert found == {name: set(options) for name, options in OPTIONS.items()}
-        assert sum(map(len, found.values())) == 41
+        assert sum(map(len, found.values())) == 40
 
     @pytest.mark.parametrize("argv", [
         ("verify-paper", "--tol-gap", "1"),
         ("construct-optimal", "--model", "mzi3", "--theta", "0,0", "--mix", "0.5"),
         ("construct-optimal", "--model", "mzi3", "--theta", "0,0", "--audit-directions"),
+        ("construct-optimal", "--model", "mzi3", "--theta", "0,0", "--tol-wc", "1e-8"),
         ("compute", "--model", "mzi3", "--theta", "0,0", "--tol-unitary", "1e-300"),
         ("check-saturation", "--model", "mzi3", "--theta", "0,0", "--tol-hermitian", "1"),
     ])
@@ -421,7 +454,6 @@ class TestOptions:
 
     @pytest.mark.parametrize("argv, setting", [
         (("check-saturation", "--model", "mzi3", "--theta", "0.7,0.3"), ("--tol-orth", "0.5")),
-        (("construct-optimal", "--model", "mzi3", "--theta", "0.7,0.3"), ("--tol-wc", "0")),
         (("compute", "--model", "mzi3", "--theta", "0.7,0.3"), ("--p-floor", "1")),
         (("compute", "--model", "mzi3", "--theta", "0,0"), ("--limit-direction", "1,0")),
     ])

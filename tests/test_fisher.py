@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multiphase import (
+    SATURATES,
     BasisMismatchError,
     DimensionMismatchError,
     IncompleteSetError,
@@ -13,6 +14,7 @@ from multiphase import (
     Tolerances,
     basis_state,
     builtin_model,
+    check_saturation,
     enumerate_basis,
     fim,
     fim_finite_difference,
@@ -216,6 +218,26 @@ class TestFisherPair:
         model = builtin_model("mzi4")
         pair = fisher_pair(model, [0.3, 1.1], ProjectorSet.fock(model.basis))
         assert pair.gap > 1e-3
+
+    @pytest.mark.parametrize("name, theta", [
+        ("mzi3", [0.0, 0.0]), ("mzi4", [0.0, 0.0]), ("mzi4", [0.0, np.pi]),
+        ("mzi4", [0.3, 1.1]), ("mzi4", [0.9, 0.9 + 1e-7]),
+    ])
+    def test_verdict_equals_check_saturation(self, name, theta):
+        model = builtin_model(name)
+        fock = ProjectorSet.fock(model.basis)
+        pair = fisher_pair(model, theta, fock)
+        report = check_saturation(model, theta, fock)
+        assert pair.saturates == (report.verdict == SATURATES)
+        assert pair.qfim is model.quantum_fisher
+
+    @pytest.mark.parametrize("field", ["saturation_gap", "orthogonal_overlap",
+                                       "probability_floor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_bad_tolerance_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Tolerances(**{field: value})
+        assert getattr(Tolerances(**{field: 0.0}), field) == 0.0
 
     def test_quantum_ordering_randomized(self):
         rng = np.random.default_rng(47)

@@ -94,6 +94,15 @@ class TestOutputState:
         with pytest.raises(DimensionMismatchError):
             builtin_model("mzi3").output_state([0.1])
 
+    @pytest.mark.parametrize("name", ["mzi3", "mzi4"])
+    def test_stack_equals_per_row_states(self, name):
+        model = builtin_model(name)
+        thetas = np.random.default_rng(37).uniform(0.0, 2.0 * np.pi, size=(5, 2))
+        stacked = model.output_state(thetas)
+        assert stacked.shape == (5, model.basis.dim)
+        for theta, state in zip(thetas, stacked):
+            assert np.max(np.abs(state - model.output_state(theta))) <= 1e-15
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_phases_rejected(self, bad):
         # A NaN gap compares false, so it would pass every later check.
@@ -106,6 +115,24 @@ class TestOutputState:
         for call in calls:
             with pytest.raises(ValueError, match="finite"):
                 call()
+
+
+class TestModelConstants:
+    @pytest.mark.parametrize("name, expected", [
+        ("mzi3", (8.0 / 3.0) * np.array([[2.0, -1.0], [-1.0, 2.0]])),
+        ("mzi4", 2.0 * np.array([[3.0, -1.0], [-1.0, 3.0]])),
+    ])
+    def test_quantum_fisher_is_the_reference_matrix(self, name, expected):
+        model = builtin_model(name)
+        assert np.max(np.abs(model.quantum_fisher - expected)) < 1e-12
+        # One photon per mode enters a balanced splitter: <n_l> = 1.
+        assert np.allclose(model.mean_occupation, 1.0, atol=1e-12)
+
+    def test_constants_are_read_only(self):
+        model = builtin_model("mzi3")
+        for array in (model.quantum_fisher, model.mean_occupation):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestDerivativeBundle:

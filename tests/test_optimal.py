@@ -196,10 +196,11 @@ class TestOrthogonalConstruction:
 
     def test_weak_commutativity_gate(self):
         class NonCommutingModel:
-            def __init__(self):
+            def __init__(self, residual):
                 self.inner = builtin_model("mzi3")
                 self.basis = self.inner.basis
                 self.d = 2
+                self.residual = residual
 
             def derivative_bundle(self, theta):
                 psi = np.zeros(10, dtype=complex)
@@ -207,14 +208,16 @@ class TestOrthogonalConstruction:
                 d1 = np.zeros(10, dtype=complex)
                 d2 = np.zeros(10, dtype=complex)
                 d1[1] = 1.0
-                d2[1], d2[2] = 1.0j, 1.0
+                d2[1], d2[2] = self.residual * 1.0j, 1.0
                 return DerivativeBundle(theta=np.asarray(theta, dtype=float),
                                         psi=psi, dpsi=(d1, d2), basis=self.basis)
 
-        # Number-operator generators cannot do this, so it is an inconsistency.
-        with pytest.raises(InternalInconsistencyError,
-                           match=r"max \|Im Omega\| = 1\.000e\+00"):
-            construct_orthogonal_optimal(NonCommutingModel(), [0.0, 0.0])
+        # Number-operator generators cannot do this, so it is an
+        # inconsistency, also below the former tol-wc default of 1e-8.
+        for residual, shown in ((1.0, r"1\.000e\+00"), (1e-9, r"1\.000e-09")):
+            with pytest.raises(InternalInconsistencyError,
+                               match=r"max \|Im Omega\| = " + shown):
+                construct_orthogonal_optimal(NonCommutingModel(residual), [0.0, 0.0])
 
 
 class TestNonorthogonalConstruction:
