@@ -454,6 +454,8 @@ class TestOptions:
 
     @pytest.mark.parametrize("argv, setting", [
         (("check-saturation", "--model", "mzi3", "--theta", "0.7,0.3"), ("--tol-orth", "0.5")),
+        (("construct-optimal", "--model", "mzi3", "--theta", "0.7,0.3"),
+         ("--variant", "nonorthogonal")),
         (("compute", "--model", "mzi3", "--theta", "0.7,0.3"), ("--p-floor", "1")),
         (("compute", "--model", "mzi3", "--theta", "0,0"), ("--limit-direction", "1,0")),
     ])
