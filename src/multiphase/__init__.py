@@ -37,7 +37,6 @@ from .fock import (
     enumerate_basis,
     lift_unitary,
     number_operator,
-    phase_layer,
 )
 from .interferometer import (
     DerivativeBundle,

@@ -63,14 +63,15 @@ class ProjectorSet:
             raise BasisMismatchError(
                 f"projector length {vectors.shape[1]} != basis dimension {basis.dim}"
             )
-        norms = np.linalg.norm(vectors, axis=1)
+        with np.errstate(invalid="ignore"):  # an infinite entry fails the check as NaN
+            norms = np.linalg.norm(vectors, axis=1)
         worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-        if worst > PROJECTOR_NORM:
+        if not worst <= PROJECTOR_NORM:
             raise ValueError(f"projector normalization off by {worst:.3e}")
         if complete:
             resolution = vectors.T @ vectors.conj()
             deviation = float(np.max(np.abs(resolution - np.eye(basis.dim))))
-            if deviation > COMPLETENESS:
+            if not deviation <= COMPLETENESS:
                 raise IncompleteSetError(
                     f"sum_k |Y_k><Y_k| deviates from identity by {deviation:.3e}"
                 )

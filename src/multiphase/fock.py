@@ -1,30 +1,12 @@
 """Fixed-photon-number Fock basis and second-quantized lifts of mode unitaries."""
 
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotUnitaryError, SizeOverflowError
-from .linalg import permanent
 from .tolerances import UNITARY
-
-# Factorials fit exactly in float64 up to 20!; desk-scale photon numbers stay far below.
-_FACTORIALS = [float(factorial(k)) for k in range(21)]
-
-
-def _log_factorial(n: int) -> float:
-    return float(sum(np.log(np.arange(2, n + 1))))
-
-
-def sqrt_factorial_product(occupation) -> float:
-    """sqrt(prod_i n_i!) with a log-domain fallback for large counts."""
-    if all(n <= 20 for n in occupation):
-        out = 1.0
-        for n in occupation:
-            out *= _FACTORIALS[n]
-        return float(np.sqrt(out))
-    return float(np.exp(0.5 * sum(_log_factorial(n) for n in occupation)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,31 +64,51 @@ def enumerate_basis(photons: int, modes: int, max_dim: int = 10**6) -> FockBasis
     return FockBasis(modes=modes, photons=photons, states=tuple(states), index=index)
 
 
+def _lowered(level: FockBasis, below: FockBasis) -> np.ndarray:
+    """(modes, level.dim) index in ``below`` of each state less one photon in mode i.
+
+    Entries for an empty mode i are 0; their weight sqrt(T_i) is 0.
+    """
+    table = np.zeros((level.modes, level.dim), dtype=np.intp)
+    for t, state in enumerate(level.states):
+        for i, n in enumerate(state):
+            if n:
+                table[i, t] = below.index[state[:i] + (n - 1,) + state[i + 1:]]
+    return table
+
+
 def lift_unitary(unitary, basis: FockBasis) -> np.ndarray:
     """Lift an m-mode unitary to the fixed-photon-number Fock space.
 
-    The lifted entry from occupation S to occupation T is
-    ``permanent(U[T, S]) / sqrt(prod T_i! * prod S_j!)`` where ``U[T, S]``
-    repeats row i T_i times and column j S_j times.
+    Built one photon at a time from ``lift(U) a_j^+ lift(U)^+ = sum_i U_ij a_i^+``
+    (Scheel, quant-ph/0406127): with j the first occupied mode of S,
+    ``<T|lift(U)|S> = sum_i U_ij sqrt(T_i / S_j) <T - e_i|lift(U)|S - e_j>``,
+    starting from the 0-photon lift [[1]].  O(n m dim^2) work.
     """
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (basis.modes, basis.modes):
         raise DimensionMismatchError(
             f"unitary shape {u.shape} does not match {basis.modes} modes"
         )
-    deviation = np.max(np.abs(u.conj().T @ u - np.eye(basis.modes)))
-    if deviation > UNITARY:
+    with np.errstate(invalid="ignore"):  # an infinite entry fails the check as NaN
+        deviation = np.max(np.abs(u.conj().T @ u - np.eye(basis.modes)))
+    if not deviation <= UNITARY:
         raise NotUnitaryError(f"max |U^H U - I| = {deviation:.3e} exceeds {UNITARY:.1e}")
 
-    row_indices = [np.repeat(np.arange(basis.modes), occ) for occ in basis.states]
-    norms = np.array([sqrt_factorial_product(occ) for occ in basis.states])
-
-    dim = basis.dim
-    lifted = np.empty((dim, dim), dtype=complex)
-    for s, cols in enumerate(row_indices):
-        u_cols = u[:, cols]
-        for t, rows in enumerate(row_indices):
-            lifted[t, s] = permanent(u_cols[rows, :]) / (norms[t] * norms[s])
+    lifted = np.ones((1, 1), dtype=complex)
+    below = enumerate_basis(0, basis.modes)
+    for photons in range(1, basis.photons + 1):
+        level = basis if photons == basis.photons else enumerate_basis(photons, basis.modes)
+        occupations = np.array(level.states, dtype=float)
+        lowered = _lowered(level, below)
+        columns = np.arange(level.dim)
+        first = np.argmax(occupations > 0, axis=1)
+        # <T - e_i|lift(U)|S - e_j> / sqrt(S_j), rows still indexed by the level below.
+        reduced = lifted[:, lowered[first, columns]] / np.sqrt(occupations[columns, first])
+        lifted = np.zeros((level.dim, level.dim), dtype=complex)
+        for i in range(basis.modes):
+            lifted += np.sqrt(occupations[:, i])[:, None] * reduced[lowered[i]] * u[i, first]
+        below = level
     return lifted
 
 
@@ -115,19 +117,6 @@ def number_operator(basis: FockBasis, mode: int) -> np.ndarray:
     if not 0 <= mode < basis.modes:
         raise IndexError(f"mode {mode} out of range for {basis.modes} modes")
     return np.array([occ[mode] for occ in basis.states], dtype=float)
-
-
-def phase_layer(basis: FockBasis, phase_modes, theta) -> np.ndarray:
-    """Diagonal of the lifted phase shifter exp(i * sum_l theta_l * n_{phase_modes[l]})."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (len(phase_modes),):
-        raise DimensionMismatchError(
-            f"got {theta.shape[0] if theta.ndim else 0} phases for {len(phase_modes)} phase modes"
-        )
-    exponent = np.zeros(basis.dim)
-    for mode, angle in zip(phase_modes, theta):
-        exponent += angle * number_operator(basis, mode)
-    return np.exp(1j * exponent)
 
 
 def basis_state(basis: FockBasis, occupation) -> np.ndarray:

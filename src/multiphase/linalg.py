@@ -11,13 +11,15 @@ def hermitian_eigenvalues(matrix):
 
     ``matrix`` may be a stack of shape (..., n, n); the eigenvalues then
     have shape (..., n).  Raises NotHermitianError if any matrix deviates
-    from its conjugate transpose by more than ``HERMITIAN`` in any entry.
+    from its conjugate transpose by more than ``HERMITIAN`` in any entry,
+    or holds a NaN or infinite entry.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    deviation = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) if m.size else 0.0
-    if deviation > HERMITIAN:
+    with np.errstate(invalid="ignore"):  # an infinite entry fails the check as NaN
+        deviation = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) if m.size else 0.0
+    if not deviation <= HERMITIAN:
         raise NotHermitianError(f"max |M - M^H| = {deviation:.3e} exceeds {HERMITIAN:.1e}")
     return np.linalg.eigvalsh(m)
 

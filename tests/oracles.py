@@ -1,4 +1,4 @@
-"""Independent oracles for derivative states and the classical Fisher matrix.
+"""Independent oracles for the Fock lift, derivative states and the classical Fisher matrix.
 
 ``finite_difference_bundle`` differences the output state.
 ``richardson_fim`` extrapolates each below-floor outcome's term along an
@@ -6,6 +6,8 @@ approach direction from three displaced evaluations.  ``mp_fim`` sums
 ``dP_l dP_m / P`` for photon counting at 80 significant digits, with
 amplitudes from permanents and derivatives from finite differences.
 Neither uses the closed-form phases of ``multiphase.fisher``.
+``lift_by_permanents`` forms each entry of the Fock lift from one Ryser
+permanent, not from the photon-by-photon recursion of ``multiphase.fock``.
 """
 
 import itertools
@@ -13,10 +15,28 @@ import math
 
 import numpy as np
 
-from multiphase import DerivativeBundle
+from multiphase import DerivativeBundle, permanent
 from multiphase.fisher import limit_directions
 
 RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)
+
+
+def lifted_entry(unitary, row, column):
+    """``<row|lift(U)|column>`` as ``permanent(U[row, column]) / sqrt(prod row_i! column_j!)``.
+
+    ``U[row, column]`` repeats row i row_i times and column j column_j times.
+    """
+    u = np.asarray(unitary, dtype=complex)
+    rows = np.repeat(np.arange(len(row)), row)
+    columns = np.repeat(np.arange(len(column)), column)
+    norm = math.sqrt(math.prod(math.factorial(n) for n in (*row, *column)))
+    return permanent(u[np.ix_(rows, columns)]) / norm
+
+
+def lift_by_permanents(unitary, basis):
+    """The whole Fock lift, one ``lifted_entry`` per entry."""
+    return np.array([[lifted_entry(unitary, t, s) for s in basis.states]
+                     for t in basis.states])
 
 
 def finite_difference_bundle(model, theta, delta=1e-5):

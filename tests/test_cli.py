@@ -98,6 +98,25 @@ class TestCompute:
         assert code == 6
         assert err.startswith("internal inconsistency")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", ["compute", "check-saturation"])
+    @pytest.mark.parametrize("source", ["model", "projectors"])
+    def test_non_finite_input_file_is_config_error(self, capsys, tmp_path, source,
+                                                   command, value):
+        # json writes and reads the tokens NaN and Infinity.
+        model = builtin_model("mzi4")
+        path = tmp_path / f"{source}.json"
+        if source == "model":
+            spec, field, argv = model.to_dict(), "splitter", ["--model", str(path)]
+        else:
+            spec, field = ProjectorSet.fock(model.basis).to_dict(), "projectors"
+            argv = ["--model", "mzi4", "--projectors", str(path)]
+        spec[field][0][0] = [value, 0.0]
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, command, *argv, "--theta", "0.3,0.5")
+        assert code == 2
+        assert err.startswith("configuration error") and out == ""
+
 
 class TestScan:
     def test_csv_layout_and_summary(self, capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiphase import (
     DimensionMismatchError,
@@ -11,9 +13,9 @@ from multiphase import (
     enumerate_basis,
     lift_unitary,
     number_operator,
-    phase_layer,
     tritter,
 )
+from tests.oracles import lift_by_permanents, lifted_entry
 from tests.test_linalg import permanent_by_enumeration
 
 
@@ -65,7 +67,8 @@ class TestLiftUnitary:
         basis = enumerate_basis(2, 3)
         theta = np.array([0.3, -1.2, 2.5])
         lifted = lift_unitary(np.diag(np.exp(1j * theta)), basis)
-        expected = np.diag(phase_layer(basis, (0, 1, 2), theta))
+        expected = np.diag(np.exp(1j * sum(t * number_operator(basis, l)
+                                           for l, t in enumerate(theta))))
         assert np.allclose(lifted, expected, atol=1e-12)
 
     def test_tritter_bunching_amplitude(self):
@@ -145,16 +148,44 @@ class TestNumberOperator:
         with pytest.raises(IndexError):
             number_operator(enumerate_basis(2, 3), 3)
 
-    def test_phase_layer_commutes_with_number_operator(self):
-        basis = enumerate_basis(3, 3)
-        layer = phase_layer(basis, (0, 1), np.array([0.4, 1.7]))
-        n0 = number_operator(basis, 0)
-        assert np.array_equal(layer * n0, n0 * layer)
 
-    def test_uniform_phase_on_all_modes_is_global(self):
-        # exp(i c) on every mode multiplies each basis state by
-        # exp(i c n_total).
-        basis = enumerate_basis(3, 4)
-        c = 0.77
-        layer = phase_layer(basis, tuple(range(4)), np.full(4, c))
-        assert np.allclose(layer, np.exp(1j * c * 3) * np.ones(basis.dim), atol=1e-12)
+@st.composite
+def unitaries_and_bases(draw):
+    modes = draw(st.integers(2, 5))
+    photons = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_unitary(modes, rng), enumerate_basis(photons, modes)
+
+
+class TestLiftAgainstPermanents:
+    """The photon-by-photon lift against one Ryser permanent per entry."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(unitaries_and_bases())
+    def test_every_entry_matches_the_permanent(self, case):
+        # Every column is compared, the bunched (n, 0, ...) ones included.
+        u, basis = case
+        assert np.max(np.abs(lift_unitary(u, basis) - lift_by_permanents(u, basis))) <= 1e-12
+
+    def test_zero_photons_lift_to_one(self):
+        u = random_unitary(3, np.random.default_rng(3))
+        assert np.array_equal(lift_unitary(u, enumerate_basis(0, 3)), [[1.0]])
+
+    def test_one_photon_lift_is_the_unitary(self):
+        u = random_unitary(4, np.random.default_rng(4))
+        assert np.array_equal(lift_unitary(u, enumerate_basis(1, 4)), u)
+
+    @pytest.mark.parametrize("photons, modes", [(6, 4), (4, 6)])
+    def test_large_lift(self, photons, modes):
+        # dims 84 and 126: seeded entries against the permanent, unitarity
+        # and the homomorphism, where the full permanent lift is too slow.
+        rng = np.random.default_rng(photons * 10 + modes)
+        basis = enumerate_basis(photons, modes)
+        u, v = random_unitary(modes, rng), random_unitary(modes, rng)
+        lifted = lift_unitary(u, basis)
+        for t, s in rng.integers(basis.dim, size=(32, 2)):
+            expected = lifted_entry(u, basis.states[t], basis.states[s])
+            assert abs(lifted[t, s] - expected) <= 1e-12
+        assert np.max(np.abs(lifted.conj().T @ lifted - np.eye(basis.dim))) <= 1e-12
+        product = lift_unitary(u @ v, basis) - lifted @ lift_unitary(v, basis)
+        assert np.max(np.abs(product)) <= 1e-12

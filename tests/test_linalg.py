@@ -48,6 +48,11 @@ class TestHermitianEigenvalues:
         with pytest.raises(NotHermitianError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(NotHermitianError):
+            hermitian_eigenvalues(np.diag([1.0, value]))
+
     def test_rejects_non_square(self):
         with pytest.raises(NotSquareError):
             hermitian_eigenvalues(np.ones((2, 3)))
