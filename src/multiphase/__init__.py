@@ -21,6 +21,7 @@ from .fisher import (
     OverlapRecord,
     ProjectorSet,
     condition_deficit,
+    condition_vectors,
     fim,
     fim_finite_difference,
     fim_from_bundle,

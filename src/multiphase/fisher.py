@@ -385,13 +385,17 @@ def quantum_gaps(classical, quantum) -> np.ndarray:
     return gaps
 
 
-def condition_deficit(model: Interferometer, record: OverlapRecord) -> np.ndarray:
-    """``4 sum_k q_k q_k^T`` per point, (G, d, d); it equals ``F_Q - F``.
+def condition_vectors(model: Interferometer, record: OverlapRecord) -> np.ndarray:
+    """``q_k = Im z_k - |a_k| gamma`` per point and outcome, (G, d, K).
 
-    ``q_k = Im z_k - |a_k| gamma`` with ``gamma_l = Im<d_l psi|psi> = -<n_l>``,
-    the model's ``mean_occupation``.
+    ``gamma_l = Im<d_l psi|psi> = -<n_l>`` is the model's ``mean_occupation``.
     """
-    q = record.z.imag + record.magnitudes[:, None, :] * model.mean_occupation[:, None]
+    return record.z.imag + record.magnitudes[:, None, :] * model.mean_occupation[:, None]
+
+
+def condition_deficit(model: Interferometer, record: OverlapRecord) -> np.ndarray:
+    """``4 sum_k q_k q_k^T`` per point, (G, d, d); it equals ``F_Q - F``."""
+    q = condition_vectors(model, record)
     deficit = 4.0 * q @ np.swapaxes(q, -1, -2)
     return 0.5 * (deficit + np.swapaxes(deficit, -1, -2))
 

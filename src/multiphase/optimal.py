@@ -5,7 +5,8 @@ Both constructions start from the probe-orthogonalized derivative states
 projector and spans the rest of the sensitive subspace with a
 real-coefficient orthonormal basis of the omega states; the
 non-orthogonal variant additionally rotates the probe into every in-span
-vector with a real orthogonal mixing rotation.  Either way the remaining
+vector with a real orthogonal mixing rotation; the orthogonal variant's
+rotation is the identity, and both run one body.  Either way the remaining
 directions are filled with an orthonormal completion, which carries no
 information and is harmless.  Every construction verifies itself by
 recomputing the classical matrix and checking the gap.
@@ -63,7 +64,7 @@ class OptimalMeasurement:
     """A saturating projector set plus its construction record."""
 
     projectors: ProjectorSet
-    coefficients: np.ndarray     # real expansion of each in-span vector
+    coefficients: np.ndarray     # (d + 1, in_span): each in-span vector over {omegas, psi}
     in_span: int                 # number of leading vectors inside span{psi, omegas}
     verification: FisherPair     # the construct-then-verify Fisher evaluation
 
@@ -108,17 +109,35 @@ def _frame_and_span(model: Interferometer, theta):
             f"weak commutativity violated: max |Im Omega| = {residual:.3e}"
         )
     span_vectors, coefficients = gram_schmidt_real_span(frame.omegas)
-    return bundle, frame, span_vectors, coefficients
+    return bundle, span_vectors, coefficients
 
 
-def _verified(model, theta, vectors, tolerances) -> tuple:
-    pset = ProjectorSet(model.basis, vectors, complete=True)
-    pair = fisher_pair(model, theta, pset, tolerances)
+def _construct(model: Interferometer, theta, rotation, tolerances: Tolerances
+               ) -> OptimalMeasurement:
+    """The in-span vectors ``[psi, span] @ rotation(r + 1)``, completed and verified.
+
+    ``rotation(n)`` is a real orthogonal n x n matrix.  Raises
+    InternalInconsistencyError when the completed set misses the quantum bound.
+    """
+    bundle, span_vectors, gs_coefficients = _frame_and_span(model, theta)
+    axes = np.column_stack([bundle.psi] + span_vectors)    # D x (r + 1)
+    mixing = rotation(axes.shape[1])
+    mixed = axes @ mixing                                   # columns are in-span vectors
+
+    # Expansion of each in-span vector over {omega_1..omega_d, psi}: the
+    # omega rows come from the Gram-Schmidt coefficients, the last row is
+    # the probe coefficient b_{d+1,k}.
+    coefficients = np.vstack([gs_coefficients @ mixing[1:], mixing[:1]])
+
+    completion = _complete_orthonormal(list(mixed.T), model.basis.dim)
+    projectors = ProjectorSet(model.basis, np.vstack([mixed.T, completion.T]), complete=True)
+    pair = fisher_pair(model, theta, projectors, tolerances)
     if pair.gap > CONSTRUCTION_GAP:
         raise InternalInconsistencyError(
             f"constructed set misses the quantum bound: gap = {pair.gap:.3e}"
         )
-    return pset, pair
+    return OptimalMeasurement(projectors=projectors, coefficients=coefficients,
+                              in_span=mixed.shape[1], verification=pair)
 
 
 def construct_orthogonal_optimal(model: Interferometer, theta,
@@ -126,19 +145,9 @@ def construct_orthogonal_optimal(model: Interferometer, theta,
                                  ) -> OptimalMeasurement:
     """Probe projector plus a real-coefficient orthonormal span of the omegas.
 
-    Completed to a full orthonormal measurement.
+    Completed to a full orthonormal measurement; row 0 is the probe.
     """
-    bundle, frame, span_vectors, coefficients = _frame_and_span(model, theta)
-    in_span = [bundle.psi] + span_vectors
-    completion = _complete_orthonormal(in_span, model.basis.dim)
-    vectors = np.vstack([np.array(in_span), completion.T])
-    pset, pair = _verified(model, theta, vectors, tolerances)
-    return OptimalMeasurement(
-        projectors=pset,
-        coefficients=coefficients,
-        in_span=len(in_span),
-        verification=pair,
-    )
+    return _construct(model, theta, np.eye, tolerances)
 
 
 def construct_nonorthogonal_optimal(model: Interferometer, theta, mix: float = 0.5,
@@ -154,28 +163,4 @@ def construct_nonorthogonal_optimal(model: Interferometer, theta, mix: float = 0
     """
     if not 0.0 < mix < 1.0:
         raise ValueError("mix must lie strictly between 0 and 1")
-    bundle, frame, span_vectors, gs_coefficients = _frame_and_span(model, theta)
-
-    axes = np.column_stack([bundle.psi] + span_vectors)    # D x (r + 1)
-    r_plus_1 = axes.shape[1]
-    rotation = uniform_mixing_rotation(r_plus_1)
-    mixed = axes @ rotation                                 # columns are in-span vectors
-
-    # Expansion of each in-span vector over {omega_1..omega_d, psi}: the
-    # omega rows come from the Gram-Schmidt coefficients, the last row is
-    # the probe coefficient b_{d+1,k}.
-    d = model.d
-    coefficients = np.zeros((d + 1, r_plus_1))
-    coefficients[d, :] = rotation[0, :]
-    if span_vectors:
-        coefficients[:d, :] = gs_coefficients @ rotation[1:, :]
-
-    completion = _complete_orthonormal(list(mixed.T), model.basis.dim)
-    vectors = np.vstack([mixed.T, completion.T])
-    pset, pair = _verified(model, theta, vectors, tolerances)
-    return OptimalMeasurement(
-        projectors=pset,
-        coefficients=coefficients,
-        in_span=r_plus_1,
-        verification=pair,
-    )
+    return _construct(model, theta, uniform_mixing_rotation, tolerances)

@@ -11,8 +11,11 @@ T2 condition for a projector overlapping the probe (``|a_k| q_k`` is its
 residual vector) and the T1 condition for one orthogonal to it.  The
 verdict is read from this deficit by ``fisher.evaluate``, as in ``scan``,
 and ``F_Q - F`` must match it at every call, else
-InternalInconsistencyError is raised.  Each projector's own T1 or T2
-value and the weak-commutativity residual are reported alongside.
+InternalInconsistencyError is raised.  The per-projector report is a view
+of the same record: the classification, each projector's own T1 or T2
+value and the derivative indices that reach it, with the bundle's
+weak-commutativity residual alongside.  Candidates within
+``INDEX_TIE * max(1, largest)`` of the largest tie, and the first is reported.
 """
 
 import json
@@ -20,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError
-from .fisher import ProjectorSet, evaluate
+from .fisher import OverlapRecord, ProjectorSet, condition_vectors, evaluate
 from .interferometer import DerivativeBundle, Interferometer
-from .tolerances import DEFAULT_TOLERANCES, DERIVATIVE_FLOOR, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, DERIVATIVE_FLOOR, INDEX_TIE, Tolerances
 
 SATURATES = "Saturates"
 DOES_NOT_SATURATE = "DoesNotSaturate"
@@ -43,6 +45,17 @@ class ProjectorClassification:
     non_orthogonal: list          # everything else, probe included
     probe: list                   # indices with overlap within eps of 1
 
+    @classmethod
+    def from_tags(cls, overlaps, tags: list) -> "ProjectorClassification":
+        """The classification whose index lists follow ``tags``."""
+        return cls(
+            overlaps=overlaps,
+            tags=tags,
+            orthogonal=[k for k, t in enumerate(tags) if t == TAG_ORTHOGONAL],
+            non_orthogonal=[k for k, t in enumerate(tags) if t != TAG_ORTHOGONAL],
+            probe=[k for k, t in enumerate(tags) if t == TAG_PROBE],
+        )
+
 
 @dataclass
 class ConditionResidual:
@@ -50,34 +63,25 @@ class ConditionResidual:
 
     projector: int
     value: float
-    condition: str                # "T1", "T2" or "WC"
-    indices: tuple                # derivative index pair (l, m) or (l,) achieving the max
+    condition: str                # "T1" or "T2"
+    indices: tuple                # pair (l, m) or index (l,), the first tied with the max
     indeterminate_first_order: bool = False
 
 
-def classify_projectors(psi, projectors: ProjectorSet,
+def classify_projectors(record: OverlapRecord,
                         tolerances: Tolerances = DEFAULT_TOLERANCES
                         ) -> ProjectorClassification:
-    """Split projectors into probe-orthogonal and probe-overlapping groups.
+    """Split the outcomes of a one-point record by their overlap ``|a_k|``.
 
     The threshold is ``tolerances.orthogonal_overlap``, for the probe within that of 1.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (projectors.basis.dim,):
-        raise BasisMismatchError("state and projector set use different bases")
-    overlaps = np.abs(projectors.vectors.conj() @ psi)
+    overlaps = record.magnitudes[0]
     eps = tolerances.orthogonal_overlap
     orthogonal = overlaps < eps
     probe = ~orthogonal & (overlaps > 1.0 - eps)
     tags = np.where(orthogonal, TAG_ORTHOGONAL,
                     np.where(probe, TAG_PROBE, TAG_NON_ORTHOGONAL))
-    return ProjectorClassification(
-        overlaps=overlaps,
-        tags=tags.tolist(),
-        orthogonal=np.flatnonzero(orthogonal).tolist(),
-        non_orthogonal=np.flatnonzero(~orthogonal).tolist(),
-        probe=np.flatnonzero(probe).tolist(),
-    )
+    return ProjectorClassification.from_tags(overlaps, tags.tolist())
 
 
 def weak_commutativity_residual(bundle: DerivativeBundle) -> float:
@@ -86,37 +90,41 @@ def weak_commutativity_residual(bundle: DerivativeBundle) -> float:
     return float(np.max(np.abs(np.triu(gram.imag, 1)), initial=0.0))
 
 
-def orthogonal_condition_residuals(bundle: DerivativeBundle,
-                                   projectors: ProjectorSet, indices,
-                                   damp=None) -> list:
-    """Residuals for projectors orthogonal to the probe, in projector order.
+def _largest(candidates) -> tuple:
+    """Per column, the largest candidate and the first row that ties with it."""
+    largest = np.max(candidates, axis=0)
+    tied = candidates >= largest - INDEX_TIE * np.maximum(1.0, largest)
+    return largest, np.argmax(tied, axis=0)
+
+
+def orthogonal_condition_residuals(record: OverlapRecord, indices) -> list:
+    """T1 residuals of projectors of a one-point record, in projector order.
 
     With a nonzero first-order overlap the residual is the largest
-    imaginary part of the bilinear <d_l psi|Y><Y|d_m psi>.  When every
-    first-order overlap is below ``DERIVATIVE_FLOOR`` the condition
-    is indeterminate at first order: the defining ratio
-    Im[<d_l psi|Y><Y|psi>]/|<Y|psi>| is O(delta) along any path, since
-    <Y|psi> is O(delta^2) and its derivatives O(delta), and its bound
-    max_l |<Y|d_l psi>| is reported with the projector flagged.  ``damp``
-    may pass the (d, K) overlaps <Y_k|d_l psi>.
+    imaginary part of the bilinear <d_l psi|Y><Y|d_m psi>, over l != m when
+    there are several phases.  When every first-order overlap is below
+    ``DERIVATIVE_FLOOR`` the condition is indeterminate at first order: the
+    defining ratio Im[<d_l psi|Y><Y|psi>]/|<Y|psi>| is O(delta) along any
+    path, since <Y|psi> is O(delta^2) and its derivatives O(delta), and its
+    bound max_l |<Y|d_l psi>| is reported with the projector flagged.  The
+    overlaps <Y|d_l psi> are ``record.derivatives``.
     """
     indices = np.asarray(sorted(indices), dtype=int)
     if not indices.size:
         return []
-    if damp is None:
-        damp = bundle.dpsi @ projectors.vectors.conj().T
-    columns = damp[:, indices]
-    magnitudes = np.abs(columns)
-    bounds, strongest = np.max(magnitudes, axis=0), np.argmax(magnitudes, axis=0)
+    columns = record.derivatives[0][:, indices]
+    d = columns.shape[0]
+    bounds, strongest = _largest(np.abs(columns))
     # Im[conj(x) y] = Re x Im y - Im x Re y, formed from separate products
     # so that it is exactly antisymmetric and zero on the diagonal.
     re, im = columns.real, columns.imag
-    bilinear = np.abs(re[:, None] * im[None] - im[:, None] * re[None]).reshape(-1, indices.size)
-    pairs = np.argmax(bilinear, axis=0)
-    values = bilinear[pairs, np.arange(indices.size)]
+    bilinear = np.abs(re[:, None] * im[None] - im[:, None] * re[None]).reshape(d * d, -1)
+    if d > 1:
+        bilinear[::d + 1] = -np.inf                   # rows l * (d + 1): the pairs (l, l)
+    values, pairs = _largest(bilinear)
     dark = bounds < DERIVATIVE_FLOOR
     rows = zip(indices.tolist(), dark.tolist(), bounds.tolist(), strongest.tolist(),
-               values.tolist(), (pairs // bundle.d).tolist(), (pairs % bundle.d).tolist())
+               values.tolist(), (pairs // d).tolist(), (pairs % d).tolist())
     return [
         ConditionResidual(projector=k, value=bound, condition="T1", indices=(l,),
                           indeterminate_first_order=True)
@@ -126,26 +134,19 @@ def orthogonal_condition_residuals(bundle: DerivativeBundle,
     ]
 
 
-def overlap_condition_residuals(bundle: DerivativeBundle, projectors: ProjectorSet,
-                                indices, damp=None) -> list:
-    """Residuals for projectors with nonzero probe overlap.
+def overlap_condition_residuals(model: Interferometer, record: OverlapRecord,
+                                indices) -> list:
+    """T2 residuals of projectors of a one-point record, in the given order.
 
     The condition compares Im[<d_l psi|Y><Y|psi>] against
-    |<psi|Y>|^2 Im[<d_l psi|psi>] for every derivative index.  ``damp``
-    may pass the (d, K) overlaps <Y_k|d_l psi>.
+    |<psi|Y>|^2 Im[<d_l psi|psi>] for every derivative index.  Their
+    difference is ``|a| q`` with ``q`` from ``fisher.condition_vectors``.
     """
     indices = np.asarray(indices, dtype=int)
     if not indices.size:
         return []
-    if damp is None:
-        damp = bundle.dpsi @ projectors.vectors.conj().T
-    amp = projectors.vectors[indices].conj() @ bundle.psi
-    phase_rates = (bundle.dpsi.conj() @ bundle.psi).imag
-    lhs = (np.conj(damp[:, indices]) * amp).imag
-    rhs = np.abs(amp) ** 2 * phase_rates[:, None]
-    deviation = np.abs(lhs - rhs)
-    worst = np.argmax(deviation, axis=0)
-    values = deviation[worst, np.arange(len(indices))]
+    q = condition_vectors(model, record)[0][:, indices]
+    values, worst = _largest(np.abs(record.magnitudes[0, indices] * q))
     return [
         ConditionResidual(projector=k, value=value, condition="T2", indices=(l,))
         for k, value, l in zip(indices.tolist(), values.tolist(), worst.tolist())
@@ -195,14 +196,9 @@ class SaturationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SaturationReport":
-        tags = [entry["tag"] for entry in data["classification"]]
-        overlaps = np.array([entry["overlap"] for entry in data["classification"]])
-        classification = ProjectorClassification(
-            overlaps=overlaps,
-            tags=tags,
-            orthogonal=[i for i, t in enumerate(tags) if t == TAG_ORTHOGONAL],
-            non_orthogonal=[i for i, t in enumerate(tags) if t != TAG_ORTHOGONAL],
-            probe=[i for i, t in enumerate(tags) if t == TAG_PROBE],
+        classification = ProjectorClassification.from_tags(
+            np.array([entry["overlap"] for entry in data["classification"]]),
+            [entry["tag"] for entry in data["classification"]],
         )
         # Older reports also carry "limit_converged", which was always true.
         t1 = [ConditionResidual(projector=e["projector"], value=e["value"],
@@ -234,19 +230,17 @@ def check_saturation(model: Interferometer, theta, projectors: ProjectorSet,
     """Classify, evaluate every condition, and report the verdict.
 
     The single-point case of ``fisher.evaluate`` (verdict, gap and checks),
-    whose bundle and overlap record also give the per-projector conditions.
+    whose overlap record also gives the classification and the T1 and T2
+    values.
     """
     bundle, record, (pair,) = evaluate(model, theta, projectors, tolerances)
-    classification = classify_projectors(bundle.psi, projectors, tolerances)
-    damp = record.derivatives[0]
+    classification = classify_projectors(record, tolerances)
     return SaturationReport(
         theta=pair.theta,
         classification=classification,
         weak_comm_residual=weak_commutativity_residual(bundle),
-        t1=orthogonal_condition_residuals(bundle, projectors, classification.orthogonal,
-                                          damp=damp),
-        t2=overlap_condition_residuals(bundle, projectors, classification.non_orthogonal,
-                                       damp=damp),
+        t1=orthogonal_condition_residuals(record, classification.orthogonal),
+        t2=overlap_condition_residuals(model, record, classification.non_orthogonal),
         verdict=SATURATES if pair.saturates else DOES_NOT_SATURATE,
         gap=pair.gap,
         direction_dependent=pair.diagnostics.direction_dependent,

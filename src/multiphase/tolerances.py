@@ -34,6 +34,7 @@ DERIVATIVE_FLOOR = 1e-12     # overlaps below this vanish (zero term, or next or
 # derivation.
 RELATIVE_DERIVATIVE_FLOOR = 1e-6
 AUDIT_SPREAD = 1e-5          # T1 residual of a dark outcome flagged as direction dependent
+INDEX_TIE = 1e-12            # condition candidates within this * max(1, largest) of it tie
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from multiphase import (
     hermitian_eigenvalues,
     orthogonal_condition_residuals,
     classify_projectors,
+    overlap_record,
     permanent,
     qfim,
     spectral_norm,
@@ -102,9 +103,9 @@ def test_c05_first_order_condition_table():
     model = builtin_model("mzi3")
     bundle = model.derivative_bundle([0.0, 0.0])
     fock = ProjectorSet.fock(model.basis)
-    cls = classify_projectors(bundle.psi, fock)
+    record = overlap_record(model, bundle, fock)
     residuals = {r.projector: r.value for r in
-                 orthogonal_condition_residuals(bundle, fock, cls.orthogonal)}
+                 orthogonal_condition_residuals(record, classify_projectors(record).orthogonal)}
 
     def bilinear(state):
         y = fock.vectors[model.basis.index_of(state)]

@@ -16,6 +16,7 @@ from multiphase import (
     fisher_pair,
     omega_frame,
     overlap_condition_residuals,
+    overlap_record,
     qfim,
     uniform_mixing_rotation,
 )
@@ -96,12 +97,12 @@ class TestFullyNonOrthogonalSet:
         rotation = uniform_mixing_rotation(model.basis.dim)
         mixed = ProjectorSet(model.basis, rotation @ base.vectors, complete=True)
 
-        bundle = model.derivative_bundle(theta)
-        cls = classify_projectors(bundle.psi, mixed)
+        record = overlap_record(model, model.derivative_bundle(theta), mixed)
+        cls = classify_projectors(record)
         assert cls.orthogonal == []
         assert len(cls.non_orthogonal) == model.basis.dim
 
-        residuals = overlap_condition_residuals(bundle, mixed, cls.non_orthogonal)
+        residuals = overlap_condition_residuals(model, record, cls.non_orthogonal)
         assert max(r.value for r in residuals) < 1e-10
 
         report = check_saturation(model, theta, mixed)
@@ -163,8 +164,12 @@ class TestOrthogonalConstruction:
         frame = omega_frame(bundle)
         omegas = np.array(frame.omegas)
         assert np.isrealobj(built.coefficients)
-        for k in range(1, built.in_span):
-            rebuilt = built.coefficients[:, k - 1] @ omegas
+        # One column per in-span vector over {omega_1..omega_d, psi}; the
+        # probe, row 0 of the set, is column 0.
+        assert built.coefficients.shape == (model.d + 1, built.in_span)
+        assert np.array_equal(built.coefficients[:, 0], [0.0, 0.0, 1.0])
+        for k in range(built.in_span):
+            rebuilt = built.coefficients[:, k] @ np.vstack([omegas, bundle.psi])
             assert np.allclose(rebuilt, built.projectors.vectors[k], atol=1e-9)
         # Independent re-derivation: least-squares coefficients over the
         # omega states must come out real.
@@ -251,10 +256,9 @@ class TestNonorthogonalConstruction:
         model = builtin_model("mzi3")
         theta = [0.0, 0.0]
         built = construct_nonorthogonal_optimal(model, theta, mix=0.5)
-        bundle = model.derivative_bundle(theta)
-        cls = classify_projectors(bundle.psi, built.projectors)
-        residuals = overlap_condition_residuals(bundle, built.projectors,
-                                                cls.non_orthogonal)
+        record = overlap_record(model, model.derivative_bundle(theta), built.projectors)
+        residuals = overlap_condition_residuals(model, record,
+                                                classify_projectors(record).non_orthogonal)
         assert max(r.value for r in residuals) < 1e-10
 
     def test_probe_coefficients_nonzero_and_real(self):
