@@ -7,11 +7,12 @@ Subcommands: ``compute`` (single-point Fisher matrices), ``scan``
 share one verdict, read from the condition deficit (``fisher.evaluate``).
 
 Each subcommand accepts only the options that can change its output or
-its exit code.  Its tolerance keys (``tol-gap``, ``tol-orth``,
-``p-floor``) are set by flags or by a ``key = value`` file (``--config``;
-flags win), and a file naming a key the subcommand does not read is
-rejected like one naming an unknown key.  A non-finite or negative
-tolerance exits 2.
+its exit code.  Its tolerance keys (``tol-gap``, ``tol-orth``) are set by
+flags or by a ``key = value`` file (``--config``; flags win), and a file
+naming a key the subcommand does not read is rejected like one naming an
+unknown key; ``compute`` reads none and takes no file.  A non-finite or
+negative tolerance exits 2.  Every evaluation flags the points whose dark
+limits depend on the approach direction.
 
 Exit codes: 0 ok, 1 verification failure, 2 configuration error,
 4 construction self-check failure, 6 internal inconsistency (theory and
@@ -42,7 +43,6 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 _CONFIG_KEYS = {
     "tol-gap": "saturation_gap",
     "tol-orth": "orthogonal_overlap",
-    "p-floor": "probability_floor",
 }
 
 
@@ -65,20 +65,17 @@ def _parse_config_file(path, keys) -> dict:
     return values
 
 
-def _add_settings(parser, keys, audit=True):
+def _add_settings(parser, keys):
     """The options that set the ``Tolerances`` fields this subcommand reads."""
-    parser.add_argument("--config", help="key = value file with tolerance overrides")
+    if keys:
+        parser.add_argument("--config", help="key = value file with tolerance overrides")
     for key in keys:
         parser.add_argument(f"--{key}", type=float, default=None,
                             help=f"override {key.replace('-', ' ')}")
     parser.add_argument("--limit-direction",
                         help="comma-separated approach direction for 0/0 limits")
-    if audit:
-        parser.add_argument("--audit-directions", action="store_true",
-                            help="flag dark outcomes whose limit depends on the "
-                                 "approach direction")
     parser.add_argument("--out", help="write the primary output to this path")
-    parser.set_defaults(config_keys=keys, audit_directions=False)
+    parser.set_defaults(config=None, config_keys=keys)
 
 
 def _settings(args) -> Tolerances:
@@ -91,8 +88,6 @@ def _settings(args) -> Tolerances:
     fields = {_CONFIG_KEYS[key]: value for key, value in overrides.items()}
     if args.limit_direction:
         fields["direction"] = tuple(float(x) for x in args.limit_direction.split(","))
-    if args.audit_directions:
-        fields["audit_directions"] = True
     return dataclasses.replace(DEFAULT_TOLERANCES, **fields)
 
 
@@ -275,16 +270,13 @@ def cmd_construct_optimal(args) -> int:
             built = construct_orthogonal_optimal(model, theta, tolerances)
         else:
             built = construct_nonorthogonal_optimal(model, theta, tolerances=tolerances)
-        report = check_saturation(model, theta, built.projectors, tolerances)
-        if report.verdict != SATURATES:
-            raise InternalInconsistencyError(
-                f"constructed set verdict is {report.verdict}"
-            )
+        if not built.verification.saturates:
+            raise InternalInconsistencyError(f"constructed set verdict is {DOES_NOT_SATURATE}")
     except InternalInconsistencyError as exc:
         print(f"construction self-check failed: {exc}", file=sys.stderr)
         return 4
     _emit(json.dumps(built.projectors.to_dict()), args.out)
-    print(f"verification: verdict={report.verdict} gap={report.gap:.3e} "
+    print(f"verification: verdict={SATURATES} gap={built.verification.gap:.3e} "
           f"projectors={len(built.projectors)} in_span={built.in_span}")
     return 0
 
@@ -446,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="mzi3, mzi4 or a model JSON file")
     p.add_argument("--theta", required=True, help="comma-separated phases in radians")
     p.add_argument("--projectors", default="fock", help="'fock' or a projector JSON file")
-    _add_settings(p, ("p-floor",))
+    _add_settings(p, ())
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("scan", help="two-phase grid sweep")
@@ -457,14 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", default="101,101", help="cells per axis")
     p.add_argument("--fixed", help="values for unswept phases, e.g. '2=0.5,3=1.0'")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_settings(p, ("tol-gap", "p-floor"))
+    _add_settings(p, ("tol-gap",))
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check-saturation", help="saturation condition report")
     p.add_argument("--model", required=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--projectors", default="fock")
-    _add_settings(p, ("tol-gap", "tol-orth", "p-floor"))
+    _add_settings(p, ("tol-gap", "tol-orth"))
     p.set_defaults(func=cmd_check_saturation)
 
     p = sub.add_parser("construct-optimal", help="build a saturating projector set")
@@ -472,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True)
     p.add_argument("--variant", choices=("orthogonal", "nonorthogonal"),
                    default="orthogonal")
-    _add_settings(p, ("tol-gap", "p-floor"), audit=False)
+    _add_settings(p, ("tol-gap",))
     p.set_defaults(func=cmd_construct_optimal)
 
     p = sub.add_parser("verify-paper", help="run the reference-value checks")

@@ -15,9 +15,9 @@ for the classical matrix and for the saturation conditions.
 ``F_Q`` from the model, checks ``F <= F_Q`` and ``F_Q - F =
 condition_deficit``, and reads the verdict from the deficit.
 
-Every evaluation takes one ``Tolerances`` record: its probability floor,
-approach direction and audit flag.  The fixed floors and the ordering slack
-are the constants of ``tolerances``.
+Every evaluation takes one ``Tolerances`` record for its approach
+direction, and flags each point with a direction-dependent dark limit.
+The floors and the ordering slack are the constants of ``tolerances``.
 """
 
 import json
@@ -41,8 +41,8 @@ from .tolerances import (
     COMPLETENESS,
     DEFAULT_TOLERANCES,
     DERIVATIVE_FLOOR,
-    OCCUPATION_MATCH,
     ORDERING_SLACK,
+    PROBABILITY_FLOOR,
     PROJECTOR_NORM,
     RELATIVE_DERIVATIVE_FLOOR,
     Tolerances,
@@ -87,15 +87,6 @@ class ProjectorSet:
         """Photon-counting measurement: one projector per occupation."""
         return cls(basis, np.eye(basis.dim, dtype=complex), complete=True)
 
-    def occupation_index(self, occupation) -> int:
-        """Row index of the projector equal to one occupation state."""
-        target = self.basis.index_of(occupation)
-        column = np.abs(self.vectors[:, target])
-        k = int(np.argmax(column))
-        if abs(column[k] - 1.0) > OCCUPATION_MATCH:
-            raise ValueError(f"no projector equals occupation {tuple(occupation)}")
-        return k
-
     def to_dict(self) -> dict:
         return {
             "modes": self.basis.modes,
@@ -108,7 +99,7 @@ class ProjectorSet:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ProjectorSet":
-        basis = enumerate_basis(int(spec["photons"]), int(spec["modes"]))
+        basis = enumerate_basis(spec["photons"], spec["modes"])
         vectors = np.array(
             [[complex(re, im) for re, im in row] for row in spec["projectors"]]
         )
@@ -148,7 +139,7 @@ def probabilities(psi, projectors: ProjectorSet) -> np.ndarray:
 class FimDiagnostics:
     """How the outcomes below the probability floor were resolved."""
 
-    singular_outcomes: list = field(default_factory=list)   # probability below floor, or dark
+    singular_outcomes: list = field(default_factory=list)   # probability below PROBABILITY_FLOOR
     shortcut_zero: list = field(default_factory=list)       # first-order overlaps vanish: zero term
     limit_evaluated: list = field(default_factory=list)     # term from the closed form
     second_order: list = field(default_factory=list)        # dark; phase from the second-order term
@@ -271,21 +262,18 @@ def overlap_record(model: Interferometer, bundle: DerivativeBundle,
     amp = (bundle.psi @ rows).reshape(len(thetas), len(projectors))          # <Y_k|psi>
     damp = (bundle.dpsi @ rows).reshape(len(thetas), d, len(projectors))     # <Y_k|d_l psi>
     magnitude = np.abs(amp)
-    # Dark outcomes are singular even under a zero probability floor.
-    singular = ((magnitude ** 2 < tolerances.probability_floor)
-                | (magnitude <= AMPLITUDE_FLOOR))
+    singular = magnitude ** 2 < PROBABILITY_FLOOR
     diagnostics = [FimDiagnostics() for _ in range(len(thetas))]
     if singular.any():
         phase, magnitude = _singular_phases(model, thetas, projectors, amp, damp, singular,
-                                            direction, tolerances.audit_directions,
-                                            diagnostics)
+                                            direction, diagnostics)
     else:
         phase = amp / magnitude
     return OverlapRecord(magnitudes=magnitude, derivatives=damp,
                          z=np.conj(damp) * phase[:, None, :], diagnostics=diagnostics)
 
 
-def _singular_phases(model, thetas, projectors, amp, damp, singular, direction, audit,
+def _singular_phases(model, thetas, projectors, amp, damp, singular, direction,
                      diagnostics) -> tuple:
     """Phases ``a^`` and magnitudes of all outcomes when some are singular.
 
@@ -293,9 +281,9 @@ def _singular_phases(model, thetas, projectors, amp, damp, singular, direction, 
     zero term.  Near-dark amplitudes (above ``AMPLITUDE_FLOOR``) are
     recomputed by ``model.amplitudes``, whose rounding, amplified by
     ``1/|a|`` in ``a^``, does not depend on the batch.  Dark ones take the
-    phase of their limit along ``direction`` from ``_dark_phases``.  With
-    ``audit``, points with a direction-dependent dark limit are flagged.
-    Fills ``diagnostics``.
+    phase of their limit along ``direction`` from ``_dark_phases``, and
+    points with a direction-dependent dark limit are flagged.  Fills
+    ``diagnostics``.
     """
     magnitude = np.abs(amp)
     shortcut = singular & (np.max(np.abs(damp), axis=1) < DERIVATIVE_FLOOR)
@@ -307,16 +295,14 @@ def _singular_phases(model, thetas, projectors, amp, damp, singular, direction, 
         magnitude[g, k] = np.abs(amp[g, k])
     phase = np.divide(amp, magnitude, out=np.zeros_like(amp), where=~(shortcut | dark))
     choice = np.zeros(amp.shape, dtype=int)
+    flagged = np.zeros(len(thetas), dtype=bool)
     g, k = np.nonzero(dark)
     if g.size:
-        phase[g, k], choice[g, k] = _dark_phases(model, thetas, projectors,
-                                                 damp[g, :, k], g, k, direction)
-
-    flagged = np.zeros(len(thetas), dtype=bool)
-    if audit and damp.shape[1] > 1:
+        da = damp[g, :, k]
+        phase[g, k], choice[g, k] = _dark_phases(model, thetas, projectors, da, g, k,
+                                                 direction)
         # The limit at a dark outcome is direction independent exactly when
         # Im[conj(da_l) da_m] vanishes, the first-order (T1) condition.
-        da = damp[g, :, k]
         t1 = np.abs((np.conj(da)[:, :, None] * da[:, None, :]).imag).max(axis=(1, 2))
         flagged[g[t1 > AUDIT_SPREAD]] = True
     masks = (singular, shortcut, singular & ~shortcut,

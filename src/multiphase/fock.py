@@ -40,8 +40,21 @@ class FockBasis:
         return hash((self.modes, self.photons))
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an int; a non-integral value raises ValueError, not truncates."""
+    try:
+        number = int(value)
+        integral = number == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def enumerate_basis(photons: int, modes: int, max_dim: int = 10**6) -> FockBasis:
     """Enumerate the complete basis of ``photons`` photons in ``modes`` modes."""
+    photons, modes = as_int(photons, "photons"), as_int(modes, "modes")
     if photons < 0:
         raise ValueError("photons must be nonnegative")
     if modes < 1:

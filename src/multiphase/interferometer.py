@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InternalInconsistencyError
 from .fock import (
     FockBasis,
+    as_int,
     basis_state,
     enumerate_basis,
     lift_unitary,
@@ -94,14 +95,14 @@ class Interferometer:
         modes = splitter.shape[0]
         if splitter.shape != (modes, modes):
             raise DimensionMismatchError("splitter must be square")
-        phase_modes = tuple(int(p) for p in phase_modes)
+        phase_modes = tuple(as_int(p, "phase mode") for p in phase_modes)
         if len(set(phase_modes)) != len(phase_modes):
             raise ValueError("phase modes must be distinct")
         if not phase_modes or len(phase_modes) > modes - 1:
             raise ValueError("need 1 <= len(phase_modes) <= modes - 1")
         if any(not 0 <= p < modes for p in phase_modes):
             raise IndexError("phase mode out of range")
-        probe = tuple(int(n) for n in probe)
+        probe = tuple(as_int(n, "probe count") for n in probe)
         if len(probe) != modes or any(n < 0 for n in probe):
             raise ValueError("probe must list a nonnegative count per mode")
 
@@ -211,7 +212,7 @@ def model_from_dict(spec: dict) -> Interferometer:
             [[complex(re, im) for re, im in row] for row in splitter_spec]
         )
     model = Interferometer(splitter, phase_modes, probe)
-    if "modes" in spec and int(spec["modes"]) != model.modes:
+    if "modes" in spec and as_int(spec["modes"], "modes") != model.modes:
         raise ValueError(
             f"declared modes {spec['modes']} but splitter has {model.modes}"
         )

@@ -1,6 +1,6 @@
 """Every threshold behind the library's checks and verdicts.
 
-``Tolerances`` holds the five values a caller may set; each is also a CLI
+``Tolerances`` holds the three values a caller may set; each is also a CLI
 key or flag, and a non-finite or negative threshold is rejected.  Every
 other threshold is a fixed module constant below.  Constants that guard
 different checks stay separate even where their values agree.
@@ -15,7 +15,6 @@ UNITARY = 1e-10              # max |U^H U - I| accepted as unitary
 GRAM_SCHMIDT_DROP = 1e-10    # max |Im Gram| (weak commutativity); norm below which a vector drops
 COMPLETENESS = 1e-9          # entrywise |sum_k P_k - I| for complete sets
 PROJECTOR_NORM = 1e-10       # max ||Y_k| - 1| of a projector vector
-OCCUPATION_MATCH = 1e-10     # |<n|Y_k>| within this of 1: Y_k is the occupation state |n>
 STATE_NORM = 1e-10           # max ||psi|^2 - 1| and |Re<d_l psi|psi>| of a derivative bundle
 OMEGA_ORTHOGONALITY = 1e-10  # max |<omega_m|psi>| of a probe-orthogonalized derivative state
 ORDERING_SLACK = 1e-8        # roundoff allowed in the checks of F against F_Q
@@ -27,6 +26,7 @@ CONSTRUCTION_GAP = 1e-8      # gap above which a constructed set misses the quan
 # the phase of the leading term of ``a(theta + delta * u)`` as
 # ``delta -> 0``.  The floor is a trade-off: ``a`` carries roundoff of about
 # 1e-16, so above the floor ``a^`` has a phase error of about ``1e-16/|a|``.
+PROBABILITY_FLOOR = 1e-12    # |<Y|psi>|^2 below this: singular
 AMPLITUDE_FLOOR = 1e-10      # |<Y|psi>| at or below this: dark, phase from the limit
 DERIVATIVE_FLOOR = 1e-12     # overlaps below this vanish (zero term, or next order)
 # Leading-term candidates below this fraction of |da| vanish: just off a dark
@@ -43,12 +43,10 @@ class Tolerances:
 
     saturation_gap: float = 1e-6       # tol-gap: deficit or gap below this saturates
     orthogonal_overlap: float = 1e-10  # tol-orth: |<Y|psi>| below this is orthogonal to the probe
-    probability_floor: float = 1e-12   # p-floor: below this an outcome is singular
     direction: tuple | None = None     # --limit-direction: approach direction; None is the diagonal
-    audit_directions: bool = False     # --audit-directions: flag direction-dependent dark limits
 
     def __post_init__(self):
-        for name in ("saturation_gap", "orthogonal_overlap", "probability_floor"):
+        for name in ("saturation_gap", "orthogonal_overlap"):
             value = getattr(self, name)
             if not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")

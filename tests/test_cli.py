@@ -15,7 +15,6 @@ import multiphase
 from multiphase import (
     SATURATES,
     ProjectorSet,
-    Tolerances,
     builtin_model,
     fisher_pair,
     save_model,
@@ -117,6 +116,34 @@ class TestCompute:
         assert code == 2
         assert err.startswith("configuration error") and out == ""
 
+    @pytest.mark.parametrize("field, value", [
+        ("probe", [1.5, 1, 1, 1]), ("phase_modes", [0, 1.9]), ("modes", 3.7),
+        ("phase_modes", [0, [1]]), ("probe", "1111"),
+    ])
+    def test_non_integral_model_field_is_config_error(self, capsys, tmp_path, field, value):
+        spec = builtin_model("mzi4").to_dict()
+        spec[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "compute", "--model", str(path), "--theta", "0.3,0.5")
+        assert code == 2
+        assert err.startswith("configuration error") and out == ""
+        assert "must be an integer" in err
+
+    @pytest.mark.parametrize("field, value", [("photons", 4.5), ("modes", 3.5),
+                                              ("modes", None)])
+    def test_non_integral_projector_field_is_config_error(self, capsys, tmp_path, field,
+                                                          value):
+        spec = ProjectorSet.fock(builtin_model("mzi4").basis).to_dict()
+        spec[field] = value
+        path = tmp_path / "projectors.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "check-saturation", "--model", "mzi4",
+                             "--projectors", str(path), "--theta", "0.3,0.5")
+        assert code == 2
+        assert err.startswith("configuration error") and out == ""
+        assert f"{field} must be an integer" in err
+
 
 class TestScan:
     def test_csv_layout_and_summary(self, capsys, tmp_path):
@@ -215,23 +242,20 @@ class TestScanBatch:
     @pytest.mark.parametrize("name, flagged", [("mzi4", False), ("mzi3", True)])
     def test_audit_directions_keeps_cells_and_reports_flags(self, capsys, tmp_path,
                                                             name, flagged):
-        plain, audited = tmp_path / "plain.csv", tmp_path / "audited.csv"
-        _, out, _ = run(capsys, "scan", "--model", name, "--resolution", "6,6",
-                        "--out", str(plain))
-        assert json.loads(out)["direction_dependent_cells"] == []
+        # Every scan audits its dark limits; a flagged cell keeps its row.
+        out_path = tmp_path / "grid.csv"
         code, out, _ = run(capsys, "scan", "--model", name, "--resolution", "6,6",
-                           "--audit-directions", "--out", str(audited))
+                           "--out", str(out_path))
         assert code == 0
-        assert audited.read_bytes() == plain.read_bytes()
-
         model = builtin_model(name)
         fock = ProjectorSet.fock(model.basis)
-        tolerances = Tolerances(audit_directions=True)
-        expected = [
-            (index // 6, index % 6) for index, row in enumerate(read_cells(audited))
-            if fisher_pair(model, [float(row["theta1"]), float(row["theta2"])],
-                           fock, tolerances).diagnostics.direction_dependent
-        ]
+        cells = read_cells(out_path)
+        pairs = [fisher_pair(model, [float(row["theta1"]), float(row["theta2"])], fock)
+                 for row in cells]
+        assert [row["verdict"] for row in cells] == [
+            SATURATES if pair.saturates else "DoesNotSaturate" for pair in pairs]
+        expected = [(index // 6, index % 6) for index, pair in enumerate(pairs)
+                    if pair.diagnostics.direction_dependent]
         reported = [(c["i"], c["j"]) for c in json.loads(out)["direction_dependent_cells"]]
         assert reported == expected
         assert bool(reported) == flagged
@@ -239,15 +263,16 @@ class TestScanBatch:
 
 class TestRepeatedCalls:
     def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
-        # The parser is built once per process; an audited scan must not
-        # leak its flag into the next call.
+        # The parser is built once per process; a scan with a loose gap
+        # threshold must not leak it into the next call.
         argv = ["scan", "--model", "mzi3", "--resolution", "6,6"]
-        audited, plain, fresh = (tmp_path / f"{n}.csv" for n in ("audited", "plain", "fresh"))
-        _, out, _ = run(capsys, *argv, "--audit-directions", "--out", str(audited))
-        assert json.loads(out)["direction_dependent_cells"]
+        loose, plain, fresh = (tmp_path / f"{n}.csv" for n in ("loose", "plain", "fresh"))
+        _, out, _ = run(capsys, *argv, "--tol-gap", "10", "--out", str(loose))
+        assert len(json.loads(out)["saturating_cells"]) == 36
         code, out, _ = run(capsys, *argv, "--out", str(plain))
         assert code == 0
-        assert json.loads(out)["direction_dependent_cells"] == []
+        assert json.loads(out)["saturating_cells"] == []
+        assert loose.read_bytes() != plain.read_bytes()
 
         env = dict(os.environ, PYTHONPATH=str(Path(multiphase.__file__).resolve().parents[1]))
         subprocess.run([sys.executable, "-m", "multiphase.cli", *argv, "--out", str(fresh)],
@@ -354,6 +379,19 @@ class TestConstructOptimal:
         assert code == 0
         assert json.loads(out)["verdict"] == SATURATES
 
+    @pytest.mark.parametrize("variant", ["orthogonal", "nonorthogonal"])
+    def test_verdict_below_zero_threshold_is_a_failed_self_check(self, capsys, tmp_path,
+                                                                 variant):
+        # The deficit of a saturating set is rounding, not below zero.
+        out_path = tmp_path / "set.json"
+        code, out, err = run(capsys, "construct-optimal", "--model", "mzi4",
+                             "--theta", "0.3,1.1", "--variant", variant,
+                             "--tol-gap", "0", "--out", str(out_path))
+        assert code == 4
+        assert err == ("construction self-check failed: "
+                       "constructed set verdict is DoesNotSaturate\n")
+        assert out == "" and not out_path.exists()
+
 
 class TestVerifyPaper:
     def test_single_check_selection(self, capsys):
@@ -396,7 +434,7 @@ class TestConfiguration:
         for line in ("tol-limit = 1e-6", "tol-sat = 1e-8",
                      "tol-hermitian = 1e-300", "tol-unitary = 1e-300", "tol-wc = 1e-8"):
             config.write_text(line + "\n")
-            for command in ("compute", "construct-optimal"):
+            for command in ("check-saturation", "construct-optimal"):
                 code, _, err = run(capsys, command, "--model", "mzi3",
                                    "--theta", "0,0", "--config", str(config))
                 assert code == 2
@@ -404,7 +442,7 @@ class TestConfiguration:
 
     @pytest.mark.parametrize("setting", [
         ("--tol-gap", "nan"), ("--tol-gap", "-1"), ("--tol-gap", "inf"),
-        ("--tol-orth", "nan"), ("--p-floor", "nan"), ("--p-floor", "-1"),
+        ("--tol-orth", "nan"), ("--tol-orth", "-1"), ("--tol-orth", "inf"),
     ])
     def test_bad_tolerance_is_config_error(self, capsys, setting):
         code, out, err = run(capsys, "check-saturation", "--model", "mzi4",
@@ -412,18 +450,24 @@ class TestConfiguration:
         assert code == 2
         assert err.startswith("configuration error") and out == ""
 
-    def test_zero_probability_floor_accepted(self, capsys):
+    def test_zero_tolerance_accepted(self, capsys):
         code, out, _ = run(capsys, "check-saturation", "--model", "mzi4",
-                           "--theta", "0,0", "--p-floor", "0")
+                           "--theta", "0,0", "--tol-orth", "0")
         assert code == 0
-        assert json.loads(out)["verdict"] == SATURATES
+        report = json.loads(out)
+        assert report["verdict"] == SATURATES
+        # No overlap is below zero, so no projector is orthogonal to the probe.
+        assert all(entry["tag"] != "orthogonal" for entry in report["classification"])
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
-        # compute reads no saturation threshold, so tol-gap is unknown to it.
+        # The probability floor is a fixed constant, and construct-optimal
+        # reads no orthogonality threshold, so tol-orth is unknown to it.
         config = tmp_path / "settings.cfg"
-        for line in ("tol-bogus = 1", "tol-gap = 4.1"):
+        for command, line in (("check-saturation", "tol-bogus = 1"),
+                              ("check-saturation", "p-floor = 1e-12"),
+                              ("construct-optimal", "tol-orth = 0.5")):
             config.write_text(line + "\n")
-            code, _, err = run(capsys, "compute", "--model", "mzi3",
+            code, _, err = run(capsys, command, "--model", "mzi3",
                                "--theta", "0,0", "--config", str(config))
             assert code == 2
             assert "unknown key" in err
@@ -431,14 +475,12 @@ class TestConfiguration:
 
 SETTINGS = ("--config", "--limit-direction", "--out")
 OPTIONS = {
-    "compute": ("--model", "--theta", "--projectors", *SETTINGS, "--p-floor",
-                "--audit-directions"),
+    "compute": ("--model", "--theta", "--projectors", "--limit-direction", "--out"),
     "scan": ("--model", "--phases", "--range1", "--range2", "--resolution", "--fixed",
-             "--format", *SETTINGS, "--p-floor", "--audit-directions", "--tol-gap"),
-    "check-saturation": ("--model", "--theta", "--projectors", *SETTINGS, "--p-floor",
-                         "--audit-directions", "--tol-gap", "--tol-orth"),
-    "construct-optimal": ("--model", "--theta", "--variant", *SETTINGS, "--p-floor",
-                          "--tol-gap"),
+             "--format", *SETTINGS, "--tol-gap"),
+    "check-saturation": ("--model", "--theta", "--projectors", *SETTINGS,
+                         "--tol-gap", "--tol-orth"),
+    "construct-optimal": ("--model", "--theta", "--variant", *SETTINGS, "--tol-gap"),
     "verify-paper": ("--only",),
 }
 
@@ -455,7 +497,7 @@ class TestOptions:
             for name, sub in subparsers.choices.items()
         }
         assert found == {name: set(options) for name, options in OPTIONS.items()}
-        assert sum(map(len, found.values())) == 40
+        assert sum(map(len, found.values())) == 32
 
     @pytest.mark.parametrize("argv", [
         ("verify-paper", "--tol-gap", "1"),
@@ -464,6 +506,14 @@ class TestOptions:
         ("construct-optimal", "--model", "mzi3", "--theta", "0,0", "--tol-wc", "1e-8"),
         ("compute", "--model", "mzi3", "--theta", "0,0", "--tol-unitary", "1e-300"),
         ("check-saturation", "--model", "mzi3", "--theta", "0,0", "--tol-hermitian", "1"),
+        ("compute", "--model", "mzi3", "--theta", "0,0", "--config", "settings.cfg"),
+        ("compute", "--model", "mzi3", "--theta", "0,0", "--p-floor", "1e-12"),
+        ("scan", "--model", "mzi3", "--p-floor", "0"),
+        ("check-saturation", "--model", "mzi3", "--theta", "0,0", "--p-floor", "1"),
+        ("construct-optimal", "--model", "mzi3", "--theta", "0,0", "--p-floor", "1e-12"),
+        ("compute", "--model", "mzi3", "--theta", "0,0", "--audit-directions"),
+        ("scan", "--model", "mzi3", "--audit-directions"),
+        ("check-saturation", "--model", "mzi3", "--theta", "0,0", "--audit-directions"),
     ])
     def test_dropped_options_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -475,9 +525,9 @@ class TestOptions:
         (("check-saturation", "--model", "mzi3", "--theta", "0.7,0.3"), ("--tol-orth", "0.5")),
         (("construct-optimal", "--model", "mzi3", "--theta", "0.7,0.3"),
          ("--variant", "nonorthogonal")),
-        (("compute", "--model", "mzi3", "--theta", "0.7,0.3"), ("--p-floor", "1")),
+        (("check-saturation", "--model", "mzi3", "--theta", "0.7,0.3"), ("--tol-gap", "10")),
         (("compute", "--model", "mzi3", "--theta", "0,0"), ("--limit-direction", "1,0")),
     ])
     def test_setting_changes_the_result(self, capsys, argv, setting):
-        # tol-gap and --audit-directions are covered by the scan tests.
+        # scan's tol-gap is covered by TestRepeatedCalls.
         assert run(capsys, *argv) != run(capsys, *argv, *setting)

@@ -262,3 +262,9 @@ class TestModelSerialization:
     def test_rejects_missing_field(self):
         with pytest.raises(ValueError):
             model_from_dict({"splitter": "tritter", "phase_modes": [0, 1]})
+
+    def test_accepts_integral_floats(self):
+        model = model_from_dict({"modes": 3.0, "splitter": "tritter",
+                                 "phase_modes": [0.0, 1.0], "probe": [1.0, 1, 1]})
+        assert model.phase_modes == (0, 1) and model.probe == (1, 1, 1)
+        assert all(type(n) is int for n in model.probe + model.phase_modes)

@@ -10,7 +10,6 @@ from multiphase import (
     Interferometer,
     ProjectorSet,
     SaturationReport,
-    Tolerances,
     builtin_model,
     check_saturation,
     classify_projectors,
@@ -293,8 +292,7 @@ class TestCheckSaturation:
         # The three-mode origin is direction dependent: its singular limits
         # along the coordinate axes differ from the diagonal one.
         model = builtin_model("mzi3")
-        report = check_saturation(model, [0.0, 0.0], ProjectorSet.fock(model.basis),
-                                  Tolerances(audit_directions=True))
+        report = check_saturation(model, [0.0, 0.0], ProjectorSet.fock(model.basis))
         assert report.direction_dependent
         clone = SaturationReport.from_json(report.to_json())
         assert clone.direction_dependent
