@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EstimationError, InternalInconsistencyError
-from .fisher import ProjectorSet, fisher_pair, fisher_pairs, qfim
+from .fisher import ProjectorSet, evaluate, fisher_pair, qfim
 from .interferometer import builtin_model, load_model, tritter, quarter
 from .linalg import spectral_norm
 from .optimal import construct_nonorthogonal_optimal, construct_orthogonal_optimal
@@ -137,8 +137,7 @@ def _pair_payload(pair) -> dict:
         "fim": [[float(x) for x in row] for row in pair.fim],
         "qfim": [[float(x) for x in row] for row in pair.qfim],
         "gap": pair.gap,
-        "singular_outcomes": list(pair.diagnostics.singular_outcomes),
-        "direction_dependent": pair.diagnostics.direction_dependent,
+        **dataclasses.asdict(pair.diagnostics),
     }
 
 
@@ -154,15 +153,6 @@ def cmd_compute(args) -> int:
     print(f"gap   = {pair.gap:.10e}")
     _emit(json.dumps(_pair_payload(pair), indent=2), args.out)
     return 0
-
-
-def _upper_triangle_header(d, prefix):
-    return [f"{prefix}{l + 1}{m + 1}" for l in range(d) for m in range(l, d)]
-
-
-def _upper_triangle(matrix):
-    d = matrix.shape[0]
-    return [matrix[l, m] for l in range(d) for m in range(l, d)]
 
 
 def cmd_scan(args) -> int:
@@ -202,28 +192,27 @@ def cmd_scan(args) -> int:
     thetas = np.tile(fixed, (resolutions[0] * resolutions[1], 1))
     thetas[:, sweep[0]] = np.repeat(axis1, resolutions[1])
     thetas[:, sweep[1]] = np.tile(axis2, resolutions[0])
-    pairs = fisher_pairs(model, thetas, ProjectorSet.fock(model.basis), tolerances)
+    fock = ProjectorSet.fock(model.basis)
+    record, classical, gaps, saturates = evaluate(model, thetas, fock, tolerances)[1:]
+    flagged = record.direction_dependent
+    del record   # released before the rows are formatted, which lowers the peak memory
 
-    d = model.d
+    triu = np.triu_indices(model.d)
     header = (["theta1", "theta2", "gap", "verdict"]
-              + _upper_triangle_header(d, "f") + _upper_triangle_header(d, "fq"))
-    rows = []
-    saturating = []
-    direction_dependent = []
-    for index, pair in enumerate(pairs):
-        i, j = divmod(index, resolutions[1])
-        theta1, theta2 = pair.theta[sweep[0]], pair.theta[sweep[1]]
-        cell = {"i": i, "j": j, "theta1": float(theta1), "theta2": float(theta2)}
-        if pair.saturates:
-            saturating.append(cell)
-        if pair.diagnostics.direction_dependent:
-            direction_dependent.append(cell)
-        rows.append([_fmt(theta1), _fmt(theta2), _fmt(pair.gap),
-                     SATURATES if pair.saturates else DOES_NOT_SATURATE]
-                    + [_fmt(float(x)) for x in _upper_triangle(pair.fim)]
-                    + [_fmt(float(x)) for x in _upper_triangle(pair.qfim)])
+              + [f"{prefix}{l + 1}{m + 1}" for prefix in ("f", "fq") for l, m in zip(*triu)])
+    quantum = [_fmt(x) for x in model.quantum_fisher[triu].tolist()]   # a model constant
+    swept = thetas[:, sweep].tolist()
+    upper = classical[:, triu[0], triu[1]].tolist()
+    rows = [[_fmt(theta1), _fmt(theta2), _fmt(gap), SATURATES if saturated else DOES_NOT_SATURATE]
+            + [_fmt(x) for x in entries] + quantum
+            for (theta1, theta2), gap, saturated, entries
+            in zip(swept, gaps.tolist(), saturates.tolist(), upper)]
 
-    gaps = [pair.gap for pair in pairs]
+    def cells(mask):
+        return [{"i": index // resolutions[1], "j": index % resolutions[1],
+                 "theta1": swept[index][0], "theta2": swept[index][1]}
+                for index in np.flatnonzero(mask).tolist()]
+
     summary = {
         "model": args.model,
         "swept_phases": list(sweep),
@@ -232,8 +221,8 @@ def cmd_scan(args) -> int:
         "fixed": [float(x) for x in fixed],
         "min_gap": float(np.min(gaps)),
         "max_gap": float(np.max(gaps)),
-        "saturating_cells": saturating,
-        "direction_dependent_cells": direction_dependent,
+        "saturating_cells": cells(saturates),
+        "direction_dependent_cells": cells(flagged),
     }
 
     try:
@@ -325,9 +314,9 @@ def _reference_checks():
 
     def check_fim3_origin():
         model = builtin_model("mzi3")
-        pair = fisher_pair(model, [0.0, 0.0], ProjectorSet.fock(model.basis))
+        classical = evaluate(model, [0.0, 0.0], ProjectorSet.fock(model.basis))[2][0]
         expected = (4.0 / 3.0) * np.ones((2, 2))
-        worst = float(np.max(np.abs(pair.fim - expected)))
+        worst = float(np.max(np.abs(classical - expected)))
         return "(4/3)[[1,1],[1,1]]", f"max dev {worst:.2e}", 1e-6, worst <= 1e-6
 
     def check_ck_table():
@@ -359,8 +348,7 @@ def _reference_checks():
         model = builtin_model("mzi3")
         grid = 2.0 * np.pi * np.arange(41) / 41
         thetas = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-        pairs = fisher_pairs(model, thetas, ProjectorSet.fock(model.basis))
-        lowest = min(pair.gap for pair in pairs)
+        lowest = float(np.min(evaluate(model, thetas, ProjectorSet.fock(model.basis))[3]))
         return "min gap > 3/4", f"{lowest:.6f}", 1e-3, lowest > 0.75 + 1e-3
 
     def check_locus4():
@@ -368,7 +356,7 @@ def _reference_checks():
         fock = ProjectorSet.fock(model.basis)
         on_locus = [[t, t] for t in (2.0 * np.pi * k / 11 for k in range(11))]
         on_locus += [[0.0, np.pi], [np.pi, 0.0]]
-        worst_on = max(pair.gap for pair in fisher_pairs(model, on_locus, fock))
+        worst_on = float(np.max(evaluate(model, on_locus, fock)[3]))
         rng = np.random.default_rng(20240)
         off_locus = []
         while len(off_locus) < 20:
@@ -379,7 +367,7 @@ def _reference_checks():
                    (np.array([0.0, np.pi]), np.array([np.pi, 0.0]))) < 0.3:
                 continue
             off_locus.append(theta)
-        best_off = min(pair.gap for pair in fisher_pairs(model, off_locus, fock))
+        best_off = float(np.min(evaluate(model, off_locus, fock)[3]))
         passed = worst_on < 1e-6 and best_off > 1e-3
         return ("gap < 1e-6 on locus, > 1e-3 off",
                 f"on <= {worst_on:.2e}, off >= {best_off:.2e}", 1e-6, passed)

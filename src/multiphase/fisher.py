@@ -9,11 +9,13 @@ phase of the leading term of ``a(theta + delta u)``: ``u.da`` at first
 order, else ``u^T H u`` with ``H_lm = <Y_k|d_l d_m psi>``, tried along each
 of ``limit_directions`` in turn.  Outcomes whose first-order overlaps all
 vanish contribute zero.  ``overlap_record`` forms ``z = conj(da) a^`` once
-for the classical matrix and for the saturation conditions.
+for the classical matrix and for the saturation conditions, and keeps how
+each outcome was resolved as stacked masks.
 
-``evaluate``, behind ``fisher_pairs`` and ``check_saturation``, takes
-``F_Q`` from the model, checks ``F <= F_Q`` and ``F_Q - F =
-condition_deficit``, and reads the verdict from the deficit.
+``evaluate``, behind ``fisher_pairs``, ``check_saturation`` and ``scan``,
+takes ``F_Q`` from the model, checks ``F <= F_Q`` and ``F_Q - F =
+condition_deficit``, reads the verdicts from the deficit, and returns
+stacked arrays; ``fisher_pairs`` views them as one ``FisherPair`` per point.
 
 Every evaluation takes one ``Tolerances`` record for its approach
 direction, and flags each point with a direction-dependent dark limit.
@@ -32,7 +34,7 @@ from .errors import (
     InternalInconsistencyError,
     StepTooLargeError,
 )
-from .fock import FockBasis, enumerate_basis
+from .fock import FockBasis, as_complex_rows, enumerate_basis
 from .interferometer import DerivativeBundle, Interferometer
 from .linalg import hermitian_eigenvalues, spectral_norm
 from .tolerances import (
@@ -99,10 +101,10 @@ class ProjectorSet:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ProjectorSet":
+        if not isinstance(spec, dict):
+            raise ValueError("projector description must be a JSON object")
         basis = enumerate_basis(spec["photons"], spec["modes"])
-        vectors = np.array(
-            [[complex(re, im) for re, im in row] for row in spec["projectors"]]
-        )
+        vectors = as_complex_rows(spec["projectors"], "projectors")
         return cls(basis, vectors, complete=bool(spec["complete"]))
 
     def dump(self, path):
@@ -152,19 +154,27 @@ class OverlapRecord:
     """Every outcome's overlaps at a stack of G points, with the phases ``a^``.
 
     ``z[g, l, k] = conj(<Y_k|d_l psi>) a^_k``: the outcome scores are
-    ``2 Re z``, and ``Im z`` carries the saturation conditions.
+    ``2 Re z``, and ``Im z`` carries the saturation conditions.  How each
+    outcome was resolved is kept as stacked masks; ``diagnostics(g)`` reads
+    point g's ``FimDiagnostics`` from them.
     """
 
-    magnitudes: np.ndarray    # |<Y_k|psi>|, (G, K)
-    derivatives: np.ndarray   # <Y_k|d_l psi>, (G, d, K)
-    z: np.ndarray             # (G, d, K)
-    diagnostics: list         # one FimDiagnostics per point
+    magnitudes: np.ndarray            # |<Y_k|psi>|, (G, K)
+    derivatives: np.ndarray           # <Y_k|d_l psi>, (G, d, K)
+    z: np.ndarray                     # (G, d, K)
+    outcome_masks: tuple              # (G, K) masks, one per FimDiagnostics list, in order
+    direction_dependent: np.ndarray   # (G,)
 
     def fim(self) -> np.ndarray:
         """The classical matrices, (G, d, d)."""
         scores = 2.0 * self.z.real
         matrix = scores @ np.swapaxes(scores, -1, -2)
         return 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
+
+    def diagnostics(self, g: int) -> FimDiagnostics:
+        """The ``FimDiagnostics`` of point ``g``."""
+        return FimDiagnostics(*(mask[g].nonzero()[0].tolist() for mask in self.outcome_masks),
+                              direction_dependent=bool(self.direction_dependent[g]))
 
 
 def limit_directions(d: int, primary) -> list:
@@ -237,8 +247,8 @@ def fim_from_bundle(model: Interferometer, bundle: DerivativeBundle,
     """
     record = overlap_record(model, bundle, projectors, tolerances)
     if bundle.batched:
-        return record.fim(), record.diagnostics
-    return record.fim()[0], record.diagnostics[0]
+        return record.fim(), [record.diagnostics(g) for g in range(len(record.z))]
+    return record.fim()[0], record.diagnostics(0)
 
 
 def overlap_record(model: Interferometer, bundle: DerivativeBundle,
@@ -246,9 +256,15 @@ def overlap_record(model: Interferometer, bundle: DerivativeBundle,
                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> OverlapRecord:
     """Overlaps of a complete set with a bundle, stacked as G points.
 
-    A single-point bundle gives G = 1.  ``a^`` is ``a/|a|``, or the
-    closed-form limit phase at a dark outcome.  The approach direction is
-    validated at every call, dark outcomes or not.
+    A single-point bundle gives G = 1.  ``a^`` is ``a/|a|`` for an outcome
+    above ``PROBABILITY_FLOOR``.  Singular outcomes whose first-order
+    overlaps all vanish get phase 0, a zero term.  Near-dark amplitudes
+    (above ``AMPLITUDE_FLOOR``) are recomputed by ``model.amplitudes``,
+    whose rounding, amplified by ``1/|a|`` in ``a^``, does not depend on the
+    batch.  Dark ones take the phase of their limit along the approach
+    direction from ``_dark_phases``, and points with a direction-dependent
+    dark limit are flagged.  The direction is validated at every call, dark
+    outcomes or not.
     """
     if projectors.basis != bundle.basis:
         raise BasisMismatchError("bundle and projector set use different bases")
@@ -263,29 +279,6 @@ def overlap_record(model: Interferometer, bundle: DerivativeBundle,
     damp = (bundle.dpsi @ rows).reshape(len(thetas), d, len(projectors))     # <Y_k|d_l psi>
     magnitude = np.abs(amp)
     singular = magnitude ** 2 < PROBABILITY_FLOOR
-    diagnostics = [FimDiagnostics() for _ in range(len(thetas))]
-    if singular.any():
-        phase, magnitude = _singular_phases(model, thetas, projectors, amp, damp, singular,
-                                            direction, diagnostics)
-    else:
-        phase = amp / magnitude
-    return OverlapRecord(magnitudes=magnitude, derivatives=damp,
-                         z=np.conj(damp) * phase[:, None, :], diagnostics=diagnostics)
-
-
-def _singular_phases(model, thetas, projectors, amp, damp, singular, direction,
-                     diagnostics) -> tuple:
-    """Phases ``a^`` and magnitudes of all outcomes when some are singular.
-
-    Singular outcomes whose first-order overlaps all vanish get phase 0, a
-    zero term.  Near-dark amplitudes (above ``AMPLITUDE_FLOOR``) are
-    recomputed by ``model.amplitudes``, whose rounding, amplified by
-    ``1/|a|`` in ``a^``, does not depend on the batch.  Dark ones take the
-    phase of their limit along ``direction`` from ``_dark_phases``, and
-    points with a direction-dependent dark limit are flagged.  Fills
-    ``diagnostics``.
-    """
-    magnitude = np.abs(amp)
     shortcut = singular & (np.max(np.abs(damp), axis=1) < DERIVATIVE_FLOOR)
     dark = (magnitude <= AMPLITUDE_FLOOR) & ~shortcut
     near = singular & ~shortcut & ~dark
@@ -307,10 +300,9 @@ def _singular_phases(model, thetas, projectors, amp, damp, singular, direction,
         flagged[g[t1 > AUDIT_SPREAD]] = True
     masks = (singular, shortcut, singular & ~shortcut,
              dark & (choice % 2 == 1), dark & (choice >= 2))   # in field order
-    for g in np.flatnonzero(singular.any(axis=1)):
-        diagnostics[g] = FimDiagnostics(*(mask[g].nonzero()[0].tolist() for mask in masks),
-                                        direction_dependent=bool(flagged[g]))
-    return phase, magnitude
+    return OverlapRecord(magnitudes=magnitude, derivatives=damp,
+                         z=np.conj(damp) * phase[:, None, :], outcome_masks=masks,
+                         direction_dependent=flagged)
 
 
 def fim_finite_difference(model: Interferometer, theta, projectors: ProjectorSet,
@@ -388,7 +380,8 @@ def condition_deficit(model: Interferometer, record: OverlapRecord) -> np.ndarra
 
 def evaluate(model: Interferometer, theta, projectors: ProjectorSet,
              tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
-    """The validated bundle at ``theta``, (d,) or (G, d), its record and pairs.
+    """The validated bundle at ``theta``, (d,) or (G, d), and its record, with
+    the classical matrices (G, d, d), gaps (G,) and verdicts (G,) stacked.
 
     A point saturates when the largest eigenvalue of ``condition_deficit``
     is below ``tolerances.saturation_gap``.  Raises InternalInconsistencyError
@@ -405,11 +398,7 @@ def evaluate(model: Interferometer, theta, projectors: ProjectorSet,
             f"F_Q - F differs from 4 sum_k q_k q_k^T by {mismatch:.3e}"
         )
     saturates = hermitian_eigenvalues(deficit)[:, -1] < tolerances.saturation_gap
-    return bundle, record, [
-        FisherPair(theta=theta_g, fim=classical[g], qfim=quantum, gap=float(gaps[g]),
-                   saturates=bool(saturates[g]), diagnostics=record.diagnostics[g])
-        for g, theta_g in enumerate(bundle.theta.reshape(-1, bundle.d))
-    ]
+    return bundle, record, classical, gaps, saturates
 
 
 def fisher_pairs(model: Interferometer, thetas, projectors: ProjectorSet,
@@ -417,13 +406,20 @@ def fisher_pairs(model: Interferometer, thetas, projectors: ProjectorSet,
     """``fisher_pair`` at each row of a (G, d) array of working points.
 
     The points are evaluated as one batch by ``evaluate``: one bundle, one
-    product of outcome scores and stacked eigenvalue checks.  The working
-    set is O(G * d * D) for basis dimension D.
+    product of outcome scores and stacked eigenvalue checks.  Pair g views
+    row g of the stacks.  The working set is O(G * d * D) for basis
+    dimension D.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2:
         raise DimensionMismatchError(f"expected a (G, d) array, got shape {thetas.shape}")
-    return evaluate(model, thetas, projectors, tolerances)[2]
+    _, record, classical, gaps, saturates = evaluate(model, thetas, projectors, tolerances)
+    return [
+        FisherPair(theta=theta_g, fim=classical[g], qfim=model.quantum_fisher,
+                   gap=float(gaps[g]), saturates=bool(saturates[g]),
+                   diagnostics=record.diagnostics(g))
+        for g, theta_g in enumerate(thetas)
+    ]
 
 
 def fisher_pair(model: Interferometer, theta, projectors: ProjectorSet,

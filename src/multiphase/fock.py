@@ -52,6 +52,17 @@ def as_int(value, name: str) -> int:
     return number
 
 
+def as_complex_rows(value, name: str) -> np.ndarray:
+    """Rows of ``[re, im]`` pairs as a complex matrix; anything else raises ValueError."""
+    try:
+        pairs = np.array(value)
+    except ValueError:                   # ragged rows
+        pairs = np.array(None)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(f"{name} must be rows of [re, im] pairs")
+    return pairs.astype(float).view(complex)[..., 0]
+
+
 def enumerate_basis(photons: int, modes: int, max_dim: int = 10**6) -> FockBasis:
     """Enumerate the complete basis of ``photons`` photons in ``modes`` modes."""
     photons, modes = as_int(photons, "photons"), as_int(modes, "modes")

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InternalInconsistencyError
 from .fock import (
     FockBasis,
+    as_complex_rows,
     as_int,
     basis_state,
     enumerate_basis,
@@ -196,21 +197,24 @@ _SPLITTER_BUILDERS = {"tritter": tritter, "quarter": quarter}
 
 def model_from_dict(spec: dict) -> Interferometer:
     """Build a model from its description dictionary (see ``load_model``)."""
+    if not isinstance(spec, dict):
+        raise ValueError("model description must be a JSON object")
     try:
         splitter_spec = spec["splitter"]
         phase_modes = spec["phase_modes"]
         probe = spec["probe"]
     except KeyError as missing:
         raise ValueError(f"model description lacks field {missing}") from None
+    for name, value in (("phase_modes", phase_modes), ("probe", probe)):
+        if not hasattr(value, "__iter__"):
+            raise ValueError(f"{name} must be a list, got {value!r}")
     if isinstance(splitter_spec, str):
         try:
             splitter = _SPLITTER_BUILDERS[splitter_spec]()
         except KeyError:
             raise ValueError(f"unknown splitter name {splitter_spec!r}") from None
     else:
-        splitter = np.array(
-            [[complex(re, im) for re, im in row] for row in splitter_spec]
-        )
+        splitter = as_complex_rows(splitter_spec, "splitter")
     model = Interferometer(splitter, phase_modes, probe)
     if "modes" in spec and as_int(spec["modes"], "modes") != model.modes:
         raise ValueError(

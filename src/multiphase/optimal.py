@@ -88,16 +88,6 @@ def uniform_mixing_rotation(n: int) -> np.ndarray:
     return np.eye(n) - 2.0 * np.outer(w, w)
 
 
-def _complete_orthonormal(columns, dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the given columns."""
-    stacked = np.column_stack(columns) if columns else np.zeros((dim, 0), dtype=complex)
-    k = stacked.shape[1]
-    if k == 0:
-        return np.eye(dim, dtype=complex)
-    q, _ = np.linalg.qr(np.asarray(stacked, dtype=complex), mode="complete")
-    return q[:, k:]
-
-
 def _frame_and_span(model: Interferometer, theta):
     bundle = model.derivative_bundle(theta).validate()
     frame = omega_frame(bundle)
@@ -129,7 +119,7 @@ def _construct(model: Interferometer, theta, rotation, tolerances: Tolerances
     # the probe coefficient b_{d+1,k}.
     coefficients = np.vstack([gs_coefficients @ mixing[1:], mixing[:1]])
 
-    completion = _complete_orthonormal(list(mixed.T), model.basis.dim)
+    completion = np.linalg.qr(mixed, mode="complete")[0][:, mixed.shape[1]:]
     projectors = ProjectorSet(model.basis, np.vstack([mixed.T, completion.T]), complete=True)
     pair = fisher_pair(model, theta, projectors, tolerances)
     if pair.gap > CONSTRUCTION_GAP:

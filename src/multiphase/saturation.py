@@ -233,15 +233,15 @@ def check_saturation(model: Interferometer, theta, projectors: ProjectorSet,
     whose overlap record also gives the classification and the T1 and T2
     values.
     """
-    bundle, record, (pair,) = evaluate(model, theta, projectors, tolerances)
+    bundle, record, _, gaps, saturates = evaluate(model, theta, projectors, tolerances)
     classification = classify_projectors(record, tolerances)
     return SaturationReport(
-        theta=pair.theta,
+        theta=bundle.theta,
         classification=classification,
         weak_comm_residual=weak_commutativity_residual(bundle),
         t1=orthogonal_condition_residuals(record, classification.orthogonal),
         t2=overlap_condition_residuals(model, record, classification.non_orthogonal),
-        verdict=SATURATES if pair.saturates else DOES_NOT_SATURATE,
-        gap=pair.gap,
-        direction_dependent=pair.diagnostics.direction_dependent,
+        verdict=SATURATES if saturates[0] else DOES_NOT_SATURATE,
+        gap=float(gaps[0]),
+        direction_dependent=bool(record.direction_dependent[0]),
     )

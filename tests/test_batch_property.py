@@ -1,6 +1,7 @@
-"""Property tests: the batched Fisher evaluation equals the per-point one,
-``F_Q - F`` equals the saturation-condition deficit ``4 sum_k q_k q_k^T``,
-and the model's constant ``F_Q`` equals the bundle formula at every theta.
+"""Property tests: the batched Fisher evaluation (its stacked arrays and
+the pairs that view them) equals the per-point one, ``F_Q - F`` equals the
+saturation-condition deficit ``4 sum_k q_k q_k^T``, and the model's
+constant ``F_Q`` equals the bundle formula at every theta.
 
 Random QR-unitary instruments (up to four modes, three photons and m - 1
 phases) are evaluated on grids that hold singular points: theta = 0 and
@@ -23,6 +24,7 @@ from multiphase import (
     overlap_record,
     qfim,
 )
+from multiphase.fisher import evaluate
 
 
 @st.composite
@@ -52,13 +54,19 @@ def test_batched_equals_per_point(case):
     model, thetas = case
     fock = ProjectorSet.fock(model.basis)
     wanted = [fisher_pair(model, t, fock) for t in thetas]
-    for got, want in zip(fisher_pairs(model, thetas, fock), wanted):
+    _, record, classical, gaps, saturates = evaluate(model, thetas, fock)
+    for g, (got, want) in enumerate(zip(fisher_pairs(model, thetas, fock), wanted)):
         tol = 1e-12 * max(1.0, np.max(np.abs(want.qfim)))
         assert np.max(np.abs(got.fim - want.fim)) <= tol
         assert np.max(np.abs(got.qfim - want.qfim)) <= tol
         assert abs(got.gap - want.gap) <= tol
         assert (got.gap < 1e-6) == (want.gap < 1e-6)
         assert got.diagnostics == want.diagnostics
+        # The stacked arrays behind the pairs.
+        assert np.max(np.abs(classical[g] - want.fim)) <= tol
+        assert abs(gaps[g] - want.gap) <= tol
+        assert saturates[g] == want.saturates
+        assert record.diagnostics(g) == want.diagnostics
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 import multiphase
 from multiphase import (
     SATURATES,
+    FimDiagnostics,
     ProjectorSet,
     builtin_model,
     fisher_pair,
@@ -47,6 +49,12 @@ class TestCompute:
         assert code == 0
         payload = json.loads(out[out.index("{"):])
         assert payload["gap"] < 1e-6
+        # The payload carries every diagnostics field, and round-trips.
+        model = builtin_model("mzi4")
+        fields = [f.name for f in dataclasses.fields(FimDiagnostics)]
+        want = fisher_pair(model, [0.0, 0.0], ProjectorSet.fock(model.basis)).diagnostics
+        assert FimDiagnostics(**{name: payload[name] for name in fields}) == want
+        assert want.limit_evaluated and want.shortcut_zero
 
     def test_matches_finite_difference_cross_check(self, capsys):
         from multiphase import ProjectorSet, fim_finite_difference
@@ -129,6 +137,37 @@ class TestCompute:
         assert code == 2
         assert err.startswith("configuration error") and out == ""
         assert "must be an integer" in err
+
+    @pytest.mark.parametrize("source, field, value, message", [
+        ("model", "phase_modes", 1, "phase_modes must be a list"),
+        ("model", "probe", 3, "probe must be a list"),
+        ("model", "splitter", [[1, 0]], "splitter must be rows of [re, im] pairs"),
+        ("model", None, None, "model description must be a JSON object"),
+        ("projectors", "projectors", 7, "projectors must be rows of [re, im] pairs"),
+        ("projectors", "projectors", [[1.0] * 35] * 35,
+         "projectors must be rows of [re, im] pairs"),
+        ("projectors", None, None, "projector description must be a JSON object"),
+    ], ids=["phase-modes-scalar", "probe-scalar", "splitter-scalar-rows", "model-list",
+            "projectors-scalar", "projectors-scalar-rows", "projectors-list"])
+    def test_malformed_file_is_config_error(self, capsys, tmp_path, source, field, value,
+                                            message):
+        # A field of the wrong shape, or a top level that is a list (field None).
+        if source == "model":
+            spec = builtin_model("mzi4").to_dict()
+            argv = ["compute", "--model", str(tmp_path / "in.json")]
+        else:
+            spec = ProjectorSet.fock(builtin_model("mzi4").basis).to_dict()
+            argv = ["check-saturation", "--model", "mzi4", "--projectors",
+                    str(tmp_path / "in.json")]
+        if field is None:
+            spec = [spec]
+        else:
+            spec[field] = value
+        (tmp_path / "in.json").write_text(json.dumps(spec))
+        code, out, err = run(capsys, *argv, "--theta", "0.3,0.5")
+        assert code == 2
+        assert err.startswith("configuration error") and out == ""
+        assert message in err
 
     @pytest.mark.parametrize("field, value", [("photons", 4.5), ("modes", 3.5),
                                               ("modes", None)])
